@@ -347,7 +347,9 @@ def _run_traced(args, ft, m, obs):
     elif args.scheduler == "greedy":
         schedule_greedy_first_fit(ft, m, obs=obs)
     elif args.scheduler == "online-retry":
-        simulate_online_retry(ft, m, seed=args.seed, obs=obs)
+        simulate_online_retry(
+            ft, m, seed=args.seed, max_cycles=args.max_cycles, obs=obs
+        )
     elif args.scheduler == "switchsim":
         run_until_delivered(
             ft, m, seed=args.seed, max_cycles=args.max_cycles, obs=obs

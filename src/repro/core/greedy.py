@@ -13,18 +13,22 @@ for the even-split partitioner:
   acknowledgment mechanism).  Randomised priority, so results vary with
   the seed.
 
-Both route over the shared :class:`~repro.perf.PathIndex`.  First-fit
-placement is resolved by the wave-based certainty-interval engine
-:func:`repro.perf.firstfit.first_fit_assign` — whole-array passes per
-delivery cycle instead of a numpy round-trip per message, which is what
-made the tier-1 kernel *slower* than pure Python at small ``n``.  The
-per-level dict-of-arrays bookkeeping is retained in
+Both route over the shared :class:`~repro.perf.PathIndex`.
+:func:`schedule_greedy_first_fit` is a batch of one: it runs the single
+greedy driver of :mod:`repro.perf.batch` (the driver
+:func:`~repro.perf.batch_schedule` runs for B sets) on a one-set batch.
+Placement is resolved by :func:`repro.perf.firstfit.first_fit_assign`,
+which picks the wave or scan engine from each set's overload ratio —
+whole-array passes instead of a numpy round-trip per message, which is
+what made the tier-1 kernel *slower* than pure Python at small ``n``.
+The per-level dict-of-arrays bookkeeping is retained in
 :func:`_reference_schedule_greedy_first_fit` as the equality oracle
 (identical placements for every input and order).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,7 +37,7 @@ if TYPE_CHECKING:
     from ..chaos.engine import ChaosController
     from ..obs import Obs
 
-from .errors import UnroutableError
+from .errors import DeliveryTimeout, UnroutableError
 from .fattree import Direction, FatTree
 from .message import MessageSet
 from .schedule import Schedule
@@ -46,27 +50,17 @@ __all__ = [
 ]
 
 
-def _placement_order(
-    ft: FatTree,
-    routable: MessageSet,
-    order: str,
-    path_len: np.ndarray | None = None,
-) -> np.ndarray:
+def _placement_order(ft: FatTree, routable: MessageSet, order: str) -> np.ndarray:
     m = len(routable)
     if order == "given":
         return np.arange(m)
     if order == "random":
         return np.random.default_rng(0).permutation(m)
     if order == "longest-first":
-        if path_len is None:
-            lengths = np.array(
-                [ft.path_length(int(s), int(d)) for s, d in routable],
-                dtype=np.int64,
-            )
-        else:
-            # PathIndex.path_len holds exactly ft.path_length per message,
-            # already vectorised — same values, same stable argsort
-            lengths = path_len
+        lengths = np.array(
+            [ft.path_length(int(s), int(d)) for s, d in routable],
+            dtype=np.int64,
+        )
         return np.argsort(-lengths, kind="stable")
     raise ValueError(f"unknown order {order!r}")
 
@@ -88,46 +82,16 @@ def schedule_greedy_first_fit(
     :func:`~repro.obs.get_default_obs`) receives a kernel wall-time
     span, per-cycle ``cycle`` trace events (off-line placement: nothing
     is ever congested or deferred) and per-level utilisation histograms.
+
+    A solo call is a batch of one: it runs the greedy driver of
+    :mod:`repro.perf.batch` on a one-set batch.  The result is
+    bit-identical, for every input and order, to
+    :func:`_reference_schedule_greedy_first_fit`.
     """
     from ..obs import resolve_obs
-    from ..perf import get_path_index
-    from ..perf.firstfit import first_fit_assign
+    from ..perf.batch import _greedy_sets
 
-    obs = resolve_obs(obs)
-    routable = messages.without_self_messages()
-    index = get_path_index(ft, routable, obs=obs)
-    mask = index.routable_mask()
-    if not mask.all():
-        raise UnroutableError(routable.take(~mask).as_pairs())
-    n_self = len(messages) - len(routable)
-    m = len(routable)
-    perm = _placement_order(ft, routable, order, path_len=index.path_len)
-
-    # the wave engine consumes path rows in processing order and returns
-    # the exact sequential first-fit cycle per row (see repro.perf.firstfit)
-    assignment = np.zeros(m, dtype=np.int64)
-    with obs.kernel("schedule_greedy_first_fit", n=ft.n, m=m, order=order):
-        wave_cycle, num_cycles = first_fit_assign(index.paths[perm], index.caps)
-        assignment[perm] = wave_cycle
-
-    cycles = [routable.take(assignment == t) for t in range(num_cycles)]
-    if obs.enabled:
-        from .online import _level_capacity_totals, _record_cycle
-
-        level_cap_totals = _level_capacity_totals(ft)
-        for t in range(num_cycles):
-            _record_cycle(
-                obs,
-                "greedy_first_fit",
-                t,
-                delivered=len(cycles[t]),
-                congested=0,
-                deferred=0,
-                index=index,
-                delivered_idx=np.flatnonzero(assignment == t),
-                level_cap_totals=level_cap_totals,
-            )
-    return Schedule(cycles=cycles, n_self_messages=n_self)
+    return _greedy_sets(ft, [messages], order, resolve_obs(obs), solo=True)[0]
 
 
 class _ResidualCycles:
@@ -220,7 +184,10 @@ def simulate_online_retry(
     ``obs`` (default: the module-level
     :func:`~repro.obs.get_default_obs`) receives per-cycle ``cycle``
     trace events (losers count as congested), retry counters,
-    utilisation histograms and a kernel wall-time span.
+    utilisation histograms and a kernel wall-time span.  Exhausting
+    ``max_cycles`` with messages pending raises
+    :class:`~repro.core.errors.DeliveryTimeout` carrying the pending
+    pairs and their attempt histogram.
 
     ``chaos`` attaches a :class:`~repro.chaos.ChaosController`: its
     timeline mutates the tree between cycles, severed messages park
@@ -256,8 +223,11 @@ def simulate_online_retry(
         while pending or parked:
             t = len(cycles)
             if t >= max_cycles:
-                raise RuntimeError(
-                    f"online retry did not converge in {max_cycles} cycles"
+                rows = np.asarray(sorted(pending + list(parked)), dtype=np.int64)
+                raise DeliveryTimeout(
+                    routable.take(rows).as_pairs(),
+                    t,
+                    Counter(attempts[rows].tolist()),
                 )
             dropped_now = 0
             blocked_set: set[int] = set()
@@ -318,10 +288,9 @@ def simulate_online_retry(
                     delivered.append(i)
                 else:
                     still.append(i)
-            if chaos is not None:
-                attempted = delivered + still
-                if attempted:
-                    attempts[np.asarray(attempted, dtype=np.int64)] += 1
+            attempted = delivered + still
+            if attempted:
+                attempts[np.asarray(attempted, dtype=np.int64)] += 1
             delivered_idx = np.array(sorted(delivered), dtype=np.int64)
             cycles.append(routable.take(delivered_idx))
             if tracing:

@@ -18,13 +18,16 @@ path).  Losers retry next cycle with fresh ranks — fully on-line: no
 global knowledge, only per-channel comparisons, exactly what a switch
 can do in hardware.
 
-:func:`schedule_random_rank` is a vectorised kernel over the shared
-:class:`~repro.perf.PathIndex`: each cycle is one lexsort of the
-``(channel gid, rank)`` pairs of the eligible messages' path entries
-plus a grouped prefix count, with delivered/backoff state in flat
-arrays.  The pure-Python predecessor is retained as
-:func:`_reference_schedule_random_rank`; the two are bit-identical for
-any seed (property-tested), so every published cycle count is unchanged.
+:func:`schedule_random_rank` is a batch of one: it runs the single
+vectorised random-rank cycle loop of :mod:`repro.perf.batch` (the loop
+:func:`~repro.perf.batch_schedule` runs for B sets) on a one-set batch
+over the shared :class:`~repro.perf.PathIndex`.  Each cycle is one sort
+of packed ``(channel gid, rank position)`` keys of the eligible
+messages' path entries plus a grouped prefix count, with
+delivered/backoff state in flat arrays.  The pure-Python predecessor is
+retained as :func:`_reference_schedule_random_rank`; the two are
+bit-identical for any seed (property-tested), so every published cycle
+count is unchanged.
 
 Degraded-mode extensions (:mod:`repro.faults`): capacities are read per
 channel, so a :class:`~repro.faults.DegradedFatTree` is routed against
@@ -136,177 +139,26 @@ def schedule_random_rank(
     timeline) the RNG draw sequence is untouched, so the schedule is
     bit-identical to a healthy run.
 
-    This is the vectorised kernel; it is bit-identical, seed for seed,
-    to :func:`_reference_schedule_random_rank`.
+    A solo call is a batch of one: it runs the random-rank cycle loop
+    of :mod:`repro.perf.batch` on a one-set batch.  The result is
+    bit-identical, seed for seed, to
+    :func:`_reference_schedule_random_rank`.
     """
-    from ..faults.backoff import BackoffPolicy
     from ..obs import resolve_obs
-    from ..perf import get_path_index
+    from ..perf.batch import _random_rank_sets
 
-    obs = resolve_obs(obs)
-    loss_rate = _validate_args(ft, messages, loss_rate, max_backoff)
-    policy = backoff if backoff is not None else BackoffPolicy(base=1, cap=max_backoff)
-    rng = np.random.default_rng(seed)
-    jrng = policy.jitter_rng(rng)
-    routable = messages.without_self_messages()
-    index = get_path_index(ft, routable, obs=obs)
-    mask = index.routable_mask()
-    if chaos is None and not mask.all():
-        raise UnroutableError(routable.take(~mask).as_pairs())
-    n_self = len(messages) - len(routable)
-    m = len(routable)
-    width = index.paths.shape[1]
-    caps = index.caps
-    attempts = np.zeros(m, dtype=np.int64)
-    next_try = np.zeros(m, dtype=np.int64)
-    pending = np.ones(m, dtype=bool)
-    n_pending = m
-    cycles: list[MessageSet] = []
-    tracing = obs.enabled
-    if tracing:
-        level_cap_totals = _level_capacity_totals(ft)
-
-    def _timeout(t: int) -> DeliveryTimeout:
-        return DeliveryTimeout(
-            routable.take(np.flatnonzero(pending)).as_pairs(),
-            t,
-            Counter(attempts[pending].tolist()),
-        )
-
-    with obs.kernel("schedule_random_rank", n=ft.n, m=m, seed=seed):
-        while n_pending:
-            t = len(cycles)
-            if t >= max_cycles:
-                raise _timeout(t)
-            dropped_now = 0
-            if chaos is not None:
-                in_flight = n_pending
-                index = chaos.begin_cycle(t, index)
-                caps = index.caps
-                severed = chaos.severed_rows(index, pending)
-                if severed.size:
-                    drops, park = chaos.resolve_severed(
-                        index, severed, t, routable, attempts
-                    )
-                    for i, heal_at in park.items():
-                        next_try[i] = heal_at
-                    if drops:
-                        pending[np.asarray(drops, dtype=np.int64)] = False
-                        n_pending -= len(drops)
-                        dropped_now = len(drops)
-                if n_pending == 0:
-                    cycles.append(MessageSet.empty(ft.n))
-                    chaos.record(
-                        in_flight=in_flight,
-                        delivered=0,
-                        congested=0,
-                        retried=0,
-                        deferred=0,
-                        dropped=dropped_now,
-                    )
-                    break
-            eligible = np.flatnonzero(pending & (next_try <= t))
-            if chaos is not None and eligible.size:
-                blocked = chaos.breaker_blocked(index, eligible, t)
-                if blocked.any():
-                    eligible = eligible[~blocked]
-            if eligible.size == 0:
-                if int(next_try[pending].min()) >= max_cycles:
-                    # livelock: nobody becomes eligible within the budget
-                    raise _timeout(t)
-                cycles.append(MessageSet.empty(ft.n))  # everyone backing off
-                if chaos is not None:
-                    chaos.record(
-                        in_flight=in_flight,
-                        delivered=0,
-                        congested=0,
-                        retried=0,
-                        deferred=n_pending,
-                        dropped=dropped_now,
-                    )
-                if tracing:
-                    obs.tracer.emit(
-                        "cycle",
-                        scheduler="random_rank",
-                        t=t,
-                        delivered=0,
-                        congested=0,
-                        deferred=n_pending,
-                    )
-                    obs.metrics.inc(
-                        "messages.deferred", n_pending, scheduler="random_rank"
-                    )
-                continue
-            attempts[eligible] += 1
-            ranks = rng.random(eligible.size)
-            # one lexsort over (gid, rank, arrival order) resolves every
-            # channel's grant at once: within each gid group the first
-            # cap(c) entries win a wire
-            gids = index.paths[eligible].ravel()
-            entry_msg = np.repeat(np.arange(eligible.size), width)
-            order = np.lexsort((entry_msg, ranks[entry_msg], gids))
-            sg = gids[order]
-            starts = np.flatnonzero(np.r_[True, sg[1:] != sg[:-1]])
-            counts = np.diff(np.r_[starts, sg.size])
-            pos_in_group = np.arange(sg.size) - np.repeat(starts, counts)
-            won = pos_in_group < caps[sg]
-            wins = np.bincount(entry_msg[order][won], minlength=eligible.size)
-            delivered_pos = np.flatnonzero(wins == width)  # won every channel
-            lr = loss_rate if chaos is None else chaos.loss_rate(loss_rate)
-            if lr:
-                # transient corruption: a won path can still deliver garbage,
-                # which the destination NACKs — the source must retry
-                survived = rng.random(delivered_pos.size) >= lr
-                delivered_pos = delivered_pos[survived]
-            elif delivered_pos.size == 0:
-                # with positive capacities the globally lowest-ranked pending
-                # message always wins all its channels; a no-progress cycle
-                # means the tree cannot make progress at all
-                raise _timeout(t)
-            delivered_idx = eligible[delivered_pos]
-            cycles.append(routable.take(delivered_idx))
-            del_mask = np.zeros(eligible.size, dtype=bool)
-            del_mask[delivered_pos] = True
-            failed = eligible[~del_mask]
-            if tracing:
-                _record_cycle(
-                    obs,
-                    "random_rank",
-                    t,
-                    delivered=delivered_idx.size,
-                    congested=failed.size,
-                    deferred=n_pending - eligible.size,
-                    index=index,
-                    delivered_idx=delivered_idx,
-                    level_cap_totals=level_cap_totals,
-                )
-            if lr:
-                for i in failed.tolist():
-                    window = policy.window(int(attempts[i]))
-                    next_try[i] = t + 1 + int(jrng.integers(0, window))
-            else:
-                next_try[failed] = t + 1  # pure contention: retry immediately
-            if chaos is not None:
-                congested_now = int((attempts[failed] == 1).sum())
-                chaos.note_outcomes(index, delivered_idx, failed, t)
-                chaos.record(
-                    in_flight=in_flight,
-                    delivered=int(delivered_idx.size),
-                    congested=congested_now,
-                    retried=int(failed.size) - congested_now,
-                    deferred=in_flight - dropped_now - int(eligible.size),
-                    dropped=dropped_now,
-                )
-            pending[delivered_idx] = False
-            n_pending -= delivered_idx.size
-    if chaos is None:
-        return Schedule(cycles=cycles, n_self_messages=n_self)
-    return Schedule(
-        cycles=cycles,
-        n_self_messages=n_self,
-        cycle_stats=list(chaos.cycle_stats),
-        dropped=chaos.dropped_messages(routable),
-    )
+    return _random_rank_sets(
+        ft,
+        [messages],
+        seed=seed,
+        max_cycles=max_cycles,
+        loss_rate=loss_rate,
+        max_backoff=max_backoff,
+        backoff=backoff,
+        obs=resolve_obs(obs),
+        chaos=chaos,
+        solo=True,
+    )[0]
 
 
 def _level_capacity_totals(ft: FatTree) -> list[tuple[int, int]]:

@@ -1,43 +1,52 @@
 """Batched scheduling: B message sets against one tree in one 3-D pass.
 
-The throughput shape the planned ``repro.serve`` daemon consumes — and
-the workload shape topology-evaluation studies need — is *many small
-message sets against the same fat-tree*.  Scheduling them one
-:class:`~repro.core.MessageSet` at a time pays the fixed costs B times
-over: a :class:`~repro.perf.PathIndex` cache probe (or build) per set,
-a kernel dispatch per set, and — for the on-line kernel — one lexsort
-per set per cycle over a tiny entry array.
+This module holds the one random-rank kernel and the one greedy
+first-fit driver of the package.  A solo call —
+:func:`~repro.core.online.schedule_random_rank` or
+:func:`~repro.core.greedy.schedule_greedy_first_fit` — is a batch of
+one: it runs the same loop on a one-set batch, under its own span and
+scheduler label.
 
-:func:`batch_schedule` amortises all three with a *channel-offset
-embedding*.  The B sets' path matrices are stacked into one
-``(Σ m_b, 2·depth)`` gid matrix whose rows for set ``b`` are shifted by
-``b · num_slots``, and the capacity vector is tiled B times.  Under
-this embedding the sets occupy pairwise-disjoint channel ranges, so
+Scheduling *many small message sets against the same fat-tree* (what
+``repro.serve`` does) one set at a time pays the fixed costs B times
+over: a :class:`~repro.perf.PathIndex` cache probe (or build) per set,
+a kernel dispatch per set, and — for the on-line kernel — one sort per
+set per cycle over a tiny entry array.  :func:`batch_schedule`
+amortises all three with a *channel-offset embedding*.  The B sets'
+path matrices are stacked into one ``(Σ m_b, 2·depth)`` gid matrix
+whose rows for set ``b`` are shifted by ``b · num_slots``, and the
+capacity vector is tiled B times.  Under this embedding the sets occupy
+pairwise-disjoint channel ranges, so
 
 * one :func:`repro.perf.firstfit.first_fit_assign` call packs all B
   first-fit problems at once (set ``b``'s greedy packing of any cycle
   only ever meets set ``b``'s own channels — the combined run is the
   B independent runs, interleaved), and
-* one lexsort per *global* cycle resolves every set's random-rank
-  channel grants (each offset-gid group is wholly within one set, with
-  the same contenders, the same ranks from that set's own seeded
-  stream, and the same tie-break order as the solo kernel's group).
+* one sort per *global* cycle resolves every set's random-rank channel
+  grants (each offset-gid group is wholly within one set, with the
+  same contenders, the same ranks from that set's own seeded stream,
+  and the same tie-break order as a one-set run's group).
 
 Bit-parity contract: :func:`batch_schedule` is **bit-identical to B
-independent calls** of the corresponding solo kernel —
-:func:`~repro.core.greedy.schedule_greedy_first_fit` or
-:func:`~repro.core.online.schedule_random_rank` — on healthy *and*
+independent solo calls** on healthy *and*
 :class:`~repro.faults.DegradedFatTree` trees, for every kernel, order,
 and seed.  The serial loop is retained as
-:func:`_reference_batch_schedule`, the paired equality oracle, and the
-``batched:*`` fuzz family (:mod:`repro.verify`) cross-checks the two on
-every run.
+:func:`_reference_batch_schedule`, the paired equality oracle, which the
+``batched:*`` fuzz family (:mod:`repro.verify`) cross-checks on every
+run; the pure-Python ``_reference_*`` oracles of :mod:`repro.core.online`
+and :mod:`repro.core.greedy` hold the shared loops to the paper-level
+semantics.
 
 RNG discipline: the on-line path holds one ``default_rng(seed)`` stream
-*per set*, consumed in exactly the positions the solo kernel consumes
-its single stream — draws for different sets come from different
-streams, so the interleaving introduced by the shared cycle loop cannot
-perturb any set's sequence.
+*per set*, consumed in exactly the positions a one-set run consumes its
+single stream — draws for different sets come from different streams,
+so the interleaving introduced by the shared cycle loop cannot perturb
+any set's sequence.
+
+Chaos (a :class:`~repro.chaos.ChaosController` passed by
+:func:`~repro.core.online.schedule_random_rank`) hooks into the
+random-rank loop between cycles; it is allowed with one set only,
+because one controller owns one mutable tree.
 """
 
 from __future__ import annotations
@@ -48,7 +57,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
+    from ..chaos.engine import ChaosController
     from ..core.fattree import FatTree
+    from ..faults.backoff import BackoffPolicy
     from ..obs import Obs
     from .pathindex import PathIndex
 
@@ -62,7 +73,11 @@ _KERNELS = ("greedy", "random_rank")
 
 
 def _combined_index(
-    ft: FatTree, message_sets: list[MessageSet], obs: "Obs | None"
+    ft: FatTree,
+    message_sets: list[MessageSet],
+    obs: "Obs | None",
+    *,
+    strict: bool = True,
 ) -> "tuple[list[MessageSet], PathIndex, np.ndarray]":
     """One PathIndex over the concatenation of all routable sets.
 
@@ -70,6 +85,8 @@ def _combined_index(
     row block for set ``b`` equals set ``b``'s own index rows — one
     build (and one cache slot) replaces B.  Returns the per-set
     routable sets, the combined index, and the row offset of each set.
+    With ``strict`` the first set (in input order) holding a message
+    that crosses a dead channel raises :class:`UnroutableError`.
     """
     from . import get_path_index
 
@@ -77,47 +94,75 @@ def _combined_index(
     sizes = [len(r) for r in routables]
     offsets = np.zeros(len(routables) + 1, dtype=np.int64)
     np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
-    combined = MessageSet(
-        np.concatenate([r.src for r in routables]),
-        np.concatenate([r.dst for r in routables]),
-        ft.n,
-    )
+    if len(routables) == 1:
+        combined = routables[0]
+    else:
+        combined = MessageSet(
+            np.concatenate([r.src for r in routables]),
+            np.concatenate([r.dst for r in routables]),
+            ft.n,
+        )
     index = get_path_index(ft, combined, obs=obs)
-    mask = index.routable_mask()
-    if not mask.all():
-        # first unroutable *set* wins, matching the serial loop's order
-        for b, r in enumerate(routables):
-            bad = ~mask[offsets[b] : offsets[b + 1]]
-            if bad.any():
-                raise UnroutableError(r.take(bad).as_pairs())
+    if strict:
+        mask = index.routable_mask()
+        if not mask.all():
+            for b, r in enumerate(routables):
+                bad = ~mask[offsets[b] : offsets[b + 1]]
+                if bad.any():
+                    raise UnroutableError(r.take(bad).as_pairs())
     return routables, index, offsets
 
 
-def _batch_greedy(
-    ft: FatTree, message_sets: list[MessageSet], order: str, obs: "Obs"
+def _embedded(
+    index: PathIndex, num_sets: int, set_of_row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The offset embedding: paths shifted into per-set channel ranges
+    ``[b·num_slots, (b+1)·num_slots)`` and the capacities tiled to match.
+
+    Pads (gid 0) land on ``b·num_slots``, whose tiled capacity is the
+    pad cap: they never bind.  One set needs no shift at all.
+    """
+    if num_sets == 1:
+        return index.paths, index.caps
+    shift = (set_of_row * index.num_slots)[:, np.newaxis]
+    return index.paths + shift, np.tile(index.caps, num_sets)
+
+
+def _greedy_sets(
+    ft: FatTree,
+    message_sets: list[MessageSet],
+    order: str,
+    obs: Obs,
+    *,
+    solo: bool,
 ) -> list[Schedule]:
+    """The greedy first-fit driver: one :class:`Schedule` per set.
+
+    ``solo`` selects the one-set call's span and scheduler label
+    (``schedule_greedy_first_fit`` / ``greedy_first_fit``) instead of
+    the batch's (``batch_schedule`` / ``batch_greedy_first_fit``).
+    """
     from ..core.greedy import _placement_order
     from ..core.online import _level_capacity_totals, _record_cycle
     from .firstfit import first_fit_assign
 
     routables, index, offsets = _combined_index(ft, message_sets, obs)
     B = len(routables)
-    num_slots = index.num_slots
     total_m = int(offsets[-1])
 
     set_of_row = np.repeat(np.arange(B, dtype=np.int64), np.diff(offsets))
-    # per-set placement orders, batched (identical to each solo call):
+    # per-set placement orders, batched (identical to one-set runs):
     # ``global_perm`` lists combined row indices in processing order,
     # set blocks contiguous and ascending
     if order == "longest-first" and total_m:
-        # one stable argsort over (set, -length) reproduces every solo
-        # ``argsort(-lengths, kind="stable")``: the set term dominates,
-        # and within a set ties keep input order exactly as solo does
+        # one stable argsort over (set, -length) orders every set by
+        # descending path length: the set term dominates, and within a
+        # set ties keep input order
         max_len = np.int64(int(index.path_len.max()) + 1)
         key = set_of_row * max_len + (max_len - 1 - index.path_len)
         global_perm = np.argsort(key, kind="stable")
     elif order == "random":
-        # solo re-seeds default_rng(0) per call — mirror that per set
+        # each set re-seeds default_rng(0), as a one-set run does
         global_perm = np.concatenate(
             [
                 np.asarray(offsets[b], dtype=np.int64)
@@ -131,35 +176,21 @@ def _batch_greedy(
             _placement_order(ft, MessageSet.empty(ft.n), order)  # raises
         global_perm = np.arange(total_m, dtype=np.int64)
 
-    with obs.kernel("batch_schedule", n=ft.n, b=B, m=total_m, engine="greedy"):
+    if solo:
+        span = obs.kernel(
+            "schedule_greedy_first_fit", n=ft.n, m=total_m, order=order
+        )
+        label = "greedy_first_fit"
+    else:
+        span = obs.kernel("batch_schedule", n=ft.n, b=B, m=total_m, engine="greedy")
+        label = "batch_greedy_first_fit"
+    with span:
         packed = np.zeros(total_m, dtype=np.int64)
         if total_m:
-            # offset embedding: shift set b's gids into its private
-            # channel range [b·num_slots, (b+1)·num_slots) — pads
-            # (gid 0) land on b·num_slots, whose tiled capacity is the
-            # pad cap: never binds
-            rows = (
-                index.paths[global_perm]
-                + set_of_row[:, np.newaxis] * num_slots
-            )
-            caps = np.tile(index.caps, B)
-            # per-set strategy dispatch: the sets are channel-disjoint,
-            # so each set's first-fit packing — and therefore the engine
-            # strategy that suits it — is independent of the others.  A
-            # single combined call would let one heavily-overloaded set
-            # drag every light set through the sequential scan; instead,
-            # sets whose demand nowhere exceeds capacity pack into cycle
-            # 0 outright, and the rest are grouped by overload ratio so
-            # each group re-dispatches to its own best strategy.
-            demand = np.bincount(rows.reshape(-1), minlength=caps.size)
-            set_ratio = (demand / np.maximum(caps, 1)).reshape(
-                B, num_slots
-            ).max(axis=1)
-            heavy = set_ratio >= 3.0
-            for group in (~heavy & (set_ratio > 1.0), heavy):
-                take = group[set_of_row]
-                if take.any():
-                    packed[take], _ = first_fit_assign(rows[take], caps)
+            # the sets are channel-disjoint: the engine chooses each
+            # set's strategy from that set's own overload ratio
+            paths, caps = _embedded(index, B, set_of_row)
+            packed, _ = first_fit_assign(paths[global_perm], caps, num_sets=B)
 
     schedules: list[Schedule] = []
     tracing = obs.enabled
@@ -170,15 +201,14 @@ def _batch_greedy(
         m_b = hi - lo
         assignment = np.zeros(m_b, dtype=np.int64)
         assignment[global_perm[lo:hi] - lo] = packed[lo:hi]
-        # every cycle a solo run opens is non-empty, and set b's cycles
-        # in the combined packing coincide with its solo cycles
+        # every cycle of a set's packing is non-empty
         num_cycles = int(assignment.max()) + 1 if m_b else 0
         cycles = [r.take(assignment == t) for t in range(num_cycles)]
         if tracing:
             for t in range(num_cycles):
                 _record_cycle(
                     obs,
-                    "batch_greedy_first_fit",
+                    label,
                     t,
                     delivered=len(cycles[t]),
                     congested=0,
@@ -195,15 +225,26 @@ def _batch_greedy(
     return schedules
 
 
-def _batch_random_rank(
+def _random_rank_sets(
     ft: FatTree,
     message_sets: list[MessageSet],
+    *,
     seed: int,
     max_cycles: int,
     loss_rate: float | None,
     max_backoff: int,
-    obs: "Obs",
+    backoff: BackoffPolicy | None,
+    obs: Obs,
+    chaos: ChaosController | None,
+    solo: bool,
 ) -> list[Schedule]:
+    """The random-rank cycle loop: one :class:`Schedule` per set.
+
+    ``solo`` selects the one-set call's span and scheduler label
+    (``schedule_random_rank`` / ``random_rank``) instead of the
+    batch's (``batch_schedule`` / ``batch_random_rank``).  ``chaos``
+    requires exactly one set.
+    """
     from ..core.online import (
         _level_capacity_totals,
         _record_cycle,
@@ -211,23 +252,30 @@ def _batch_random_rank(
     )
     from ..faults.backoff import BackoffPolicy
 
+    if chaos is not None and len(message_sets) != 1:
+        raise ValueError("a chaos run schedules exactly one message set")
     lr = 0.0
     for ms in message_sets:
         lr = _validate_args(ft, ms, loss_rate, max_backoff)
-    policy = BackoffPolicy(base=1, cap=max_backoff)
-    routables, index, offsets = _combined_index(ft, message_sets, obs)
+    base_lr = lr
+    policy = backoff if backoff is not None else BackoffPolicy(base=1, cap=max_backoff)
+    routables, index, offsets = _combined_index(
+        ft, message_sets, obs, strict=chaos is None
+    )
     B = len(routables)
-    num_slots = index.num_slots
     width = index.paths.shape[1]
-    caps_tiled = np.tile(index.caps, B)
     total_m = int(offsets[-1])
 
-    # flat solo state over the concatenated messages: pending / attempts
-    # / next_try updates are whole-array passes, and the per-set view is
+    # flat state over the concatenated messages: pending / attempts /
+    # next_try updates are whole-array passes, and the per-set view is
     # recovered by slicing at ``offsets``.  Each set still draws from
-    # its own default_rng(seed) stream in exactly the solo kernel's
+    # its own default_rng(seed) stream in exactly a one-set run's
     # positions — that is the bit-parity invariant.
     set_of_row = np.repeat(np.arange(B, dtype=np.int64), np.diff(offsets))
+    paths, caps = _embedded(index, B, set_of_row)
+    # a grant key packs (offset gid, rank position) into one int64
+    if (B * index.num_slots).bit_length() + total_m.bit_length() > 63:
+        raise ValueError("batch too large for 64-bit grant keys")
     rngs = [np.random.default_rng(seed) for _ in range(B)]
     jrngs = [policy.jitter_rng(rngs[b]) for b in range(B)]
     attempts = np.zeros(total_m, dtype=np.int64)
@@ -236,9 +284,10 @@ def _batch_random_rank(
     n_pending = np.diff(offsets).astype(np.int64)
     cycle_lists: list[list[MessageSet]] = [[] for _ in range(B)]
     failures: dict[int, DeliveryTimeout] = {}
+    in_flight = dropped_now = 0  # chaos accounting (one set)
 
     def _fail(b: int, t: int) -> None:
-        # records the DeliveryTimeout the solo kernel would raise at its
+        # records the DeliveryTimeout set b's one-set run raises at its
         # cycle t, then retires the set so the joint loop moves on
         sl = slice(int(offsets[b]), int(offsets[b + 1]))
         pend_b = pending[sl]
@@ -253,43 +302,85 @@ def _batch_random_rank(
     tracing = obs.enabled
     if tracing:
         level_cap_totals = _level_capacity_totals(ft)
+    if solo:
+        span = obs.kernel("schedule_random_rank", n=ft.n, m=total_m, seed=seed)
+        label = "random_rank"
+    else:
+        span = obs.kernel(
+            "batch_schedule", n=ft.n, b=B, m=total_m, engine="random_rank", seed=seed
+        )
+        label = "batch_random_rank"
 
-    with obs.kernel(
-        "batch_schedule", n=ft.n, b=B, m=total_m, engine="random_rank", seed=seed
-    ):
+    with span:
         # every live set appends exactly one cycle per iteration, so the
-        # iteration counter t equals each solo kernel's local cycle
+        # iteration counter t equals each set's local cycle
         t = 0
-        while True:
-            if not n_pending.any():
-                break
+        while n_pending.any():
             if t >= max_cycles:
                 for b in np.flatnonzero(n_pending).tolist():
                     _fail(b, t)
                 break
+            if chaos is not None:
+                in_flight = int(n_pending[0])
+                dropped_now = 0
+                index = chaos.begin_cycle(t, index)
+                paths, caps = index.paths, index.caps
+                severed = chaos.severed_rows(index, pending)
+                if severed.size:
+                    drops, park = chaos.resolve_severed(
+                        index, severed, t, routables[0], attempts
+                    )
+                    for i, heal_at in park.items():
+                        next_try[i] = heal_at
+                    if drops:
+                        pending[np.asarray(drops, dtype=np.int64)] = False
+                        n_pending[0] -= len(drops)
+                        dropped_now = len(drops)
+                if n_pending[0] == 0:
+                    cycle_lists[0].append(MessageSet.empty(ft.n))
+                    chaos.record(
+                        in_flight=in_flight,
+                        delivered=0,
+                        congested=0,
+                        retried=0,
+                        deferred=0,
+                        dropped=dropped_now,
+                    )
+                    break
+                lr = chaos.loss_rate(base_lr)
             elig = np.flatnonzero(pending & (next_try <= t))
+            if chaos is not None and elig.size:
+                blocked = chaos.breaker_blocked(index, elig, t)
+                if blocked.any():
+                    elig = elig[~blocked]
             set_of_elig = set_of_row[elig]
             cnt = np.bincount(set_of_elig, minlength=B)
             stalled = np.flatnonzero((cnt == 0) & (n_pending > 0))
             for b in stalled.tolist():
+                # every pending message of set b is backing off (or held
+                # back by a breaker): an empty delivery cycle
                 sl = slice(int(offsets[b]), int(offsets[b + 1]))
                 if int(next_try[sl][pending[sl]].min()) >= max_cycles:
                     _fail(b, t)  # livelock: no eligibility within budget
                     continue
                 cycle_lists[b].append(MessageSet.empty(ft.n))
+                if chaos is not None:
+                    chaos.record(
+                        in_flight=in_flight,
+                        delivered=0,
+                        congested=0,
+                        retried=0,
+                        deferred=int(n_pending[b]),
+                        dropped=dropped_now,
+                    )
                 if tracing:
-                    obs.tracer.emit(
-                        "cycle",
-                        scheduler="batch_random_rank",
-                        t=t,
+                    _record_cycle(
+                        obs,
+                        label,
+                        t,
                         delivered=0,
                         congested=0,
                         deferred=int(n_pending[b]),
-                    )
-                    obs.metrics.inc(
-                        "messages.deferred",
-                        int(n_pending[b]),
-                        scheduler="batch_random_rank",
                     )
             if elig.size == 0:
                 t += 1
@@ -303,28 +394,35 @@ def _batch_random_rank(
                 c = int(cnt[b])
                 ranks[pos : pos + c] = rngs[b].random(c)
                 pos += c
-            # one lexsort resolves every set's channel grants at once:
-            # each offset-gid group lies wholly within one set, with the
-            # solo kernel's contenders, ranks and tie-break order
-            gids = (
-                index.paths[elig] + set_of_elig[:, np.newaxis] * num_slots
-            ).reshape(-1)
-            entry_msg = np.repeat(np.arange(elig.size, dtype=np.int64), width)
-            order = np.lexsort((entry_msg, ranks[entry_msg], gids))
-            sg = gids[order]
+            # one sort resolves every channel grant at once.  Each path
+            # entry's key packs (offset gid, rank position), where rank
+            # position orders the eligible messages by (rank, arrival):
+            # each gid group lies wholly within one set, holds that set's
+            # contenders in tie-break order, and its first cap(c)
+            # entries win a wire.  Equal keys (a message's pad entries)
+            # are interchangeable, so the sort need not be stable.
+            by_rank = np.argsort(ranks, kind="stable")
+            rank_pos = np.empty(elig.size, dtype=np.int64)
+            rank_pos[by_rank] = np.arange(elig.size, dtype=np.int64)
+            shift = elig.size.bit_length()
+            key = paths[elig] << shift
+            key |= rank_pos[:, np.newaxis]
+            key = key.reshape(-1)
+            key.sort()
+            sg = key >> shift
             seg = np.empty(sg.size, dtype=bool)
             seg[0] = True
             np.not_equal(sg[1:], sg[:-1], out=seg[1:])
-            starts = np.flatnonzero(seg)
-            counts = np.empty(starts.size, dtype=np.int64)
-            counts[:-1] = starts[1:] - starts[:-1]
-            counts[-1] = sg.size - starts[-1]
-            pos_in_group = np.arange(sg.size) - np.repeat(starts, counts)
-            won = pos_in_group < caps_tiled[sg]
-            wins = np.bincount(entry_msg[order][won], minlength=elig.size)
-            delivered_mask = wins == width  # per eligible entry
+            pos_in_group = np.arange(sg.size, dtype=np.int64)
+            pos_in_group -= np.maximum.accumulate(np.where(seg, pos_in_group, 0))
+            won = pos_in_group < caps[sg]
+            key &= (1 << shift) - 1  # back to rank positions
+            wins = np.bincount(key[won], minlength=elig.size)
+            delivered_mask = wins[rank_pos] == width  # won every channel
             if lr:
-                # per-set survival draws, in stream order after ranks
+                # transient corruption: a won path can still deliver
+                # garbage, which the destination NACKs.  Per-set survival
+                # draws, in stream order after the ranks.
                 base = 0
                 for b in np.flatnonzero(cnt).tolist():
                     c = int(cnt[b])
@@ -333,11 +431,11 @@ def _batch_random_rank(
                     if k:
                         block[np.flatnonzero(block)] = rngs[b].random(k) >= lr
                     base += c
-            dcnt = np.bincount(
-                set_of_elig[delivered_mask], minlength=B
-            )
+            dcnt = np.bincount(set_of_elig[delivered_mask], minlength=B)
             if not lr:
-                # a no-progress cycle means the solo kernel times out
+                # with positive capacities the lowest-ranked eligible
+                # message wins all its channels; a no-progress cycle means
+                # the set's tree cannot make progress at all
                 for b in np.flatnonzero((cnt > 0) & (dcnt == 0)).tolist():
                     _fail(b, t)
             delivered_flat = elig[delivered_mask]
@@ -351,7 +449,7 @@ def _batch_random_rank(
                 if tracing:
                     _record_cycle(
                         obs,
-                        "batch_random_rank",
+                        label,
                         t,
                         delivered=int(dcnt[b]),
                         congested=int(cnt[b] - dcnt[b]),
@@ -363,7 +461,7 @@ def _batch_random_rank(
             failed_flat = elig[~delivered_mask]
             if lr:
                 # ascending rows = per-set ascending local order, the
-                # exact jitter draw order of each solo kernel
+                # exact jitter draw order of each one-set run
                 for row in failed_flat.tolist():
                     b = int(set_of_row[row])
                     if b in failures:
@@ -371,7 +469,18 @@ def _batch_random_rank(
                     window = policy.window(int(attempts[row]))
                     next_try[row] = t + 1 + int(jrngs[b].integers(0, window))
             else:
-                next_try[failed_flat] = t + 1  # retry immediately
+                next_try[failed_flat] = t + 1  # pure contention: retry now
+            if chaos is not None and not failures:
+                congested_now = int((attempts[failed_flat] == 1).sum())
+                chaos.note_outcomes(index, delivered_flat, failed_flat, t)
+                chaos.record(
+                    in_flight=in_flight,
+                    delivered=int(delivered_flat.size),
+                    congested=congested_now,
+                    retried=int(failed_flat.size) - congested_now,
+                    deferred=in_flight - dropped_now - int(elig.size),
+                    dropped=dropped_now,
+                )
             pending[delivered_flat] = False
             n_pending -= dcnt
             t += 1
@@ -384,6 +493,8 @@ def _batch_random_rank(
         Schedule(  # reprolint: ignore[schedule-hygiene]
             cycles=cycle_lists[b],
             n_self_messages=len(message_sets[b]) - len(routables[b]),
+            cycle_stats=[] if chaos is None else list(chaos.cycle_stats),
+            dropped=None if chaos is None else chaos.dropped_messages(routables[b]),
         )
         for b in range(B)
     ]
@@ -425,7 +536,7 @@ def batch_schedule(
     (paths depend only on endpoints), one first-fit engine call — the
     B path matrices are stacked with per-set gid offsets into disjoint
     channel ranges of a tiled capacity vector — and, on-line, one
-    lexsort per global cycle instead of one per set per cycle.
+    sort per global cycle instead of one per set per cycle.
 
     ``obs`` (default: the module-level
     :func:`~repro.obs.get_default_obs`) receives one ``batch_schedule``
@@ -444,9 +555,18 @@ def batch_schedule(
         if ms.n != ft.n:
             raise ValueError("message set and fat-tree disagree on n")
     if kernel == "greedy":
-        return _batch_greedy(ft, message_sets, order, obs)
-    return _batch_random_rank(
-        ft, message_sets, seed, max_cycles, loss_rate, max_backoff, obs
+        return _greedy_sets(ft, message_sets, order, obs, solo=False)
+    return _random_rank_sets(
+        ft,
+        message_sets,
+        seed=seed,
+        max_cycles=max_cycles,
+        loss_rate=loss_rate,
+        max_backoff=max_backoff,
+        backoff=None,
+        obs=obs,
+        chaos=None,
+        solo=False,
     )
 
 

@@ -51,9 +51,17 @@ for free: their capacity is large enough to never bind.
 Between waves the occurrence arrays are compacted to the still-unplaced
 messages, so later (cheaper) waves touch proportionally less data.
 
-This engine is shared by :func:`repro.core.greedy.schedule_greedy_first_fit`
-(one message set) and :func:`repro.perf.batch.batch_schedule` (B sets
-against one tree, made channel-disjoint by per-set gid offsets).
+When channel demand is many times capacity, a sequential scan over
+per-channel saturation bitmasks beats the waves (:func:`_first_fit_scan`).
+:func:`first_fit_assign` owns that choice: it reads each set's overload
+ratio and sends sets of ratio ≥ 3 to the scan, the other overloaded sets
+to the waves, and packs the rest into cycle 0.
+
+The engine has one caller, the greedy driver of :mod:`repro.perf.batch`:
+:func:`repro.perf.batch.batch_schedule` passes B sets against one tree,
+made channel-disjoint by per-set gid offsets, and
+:func:`repro.core.greedy.schedule_greedy_first_fit` passes a batch of
+one.
 """
 
 from __future__ import annotations
@@ -61,34 +69,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["first_fit_assign"]
-
-
-def _fits(
-    c_msg: np.ndarray,
-    c_cap: np.ndarray,
-    seg_start: np.ndarray,
-    member: np.ndarray,
-    m: int,
-) -> np.ndarray:
-    """Per-message fit test against the member set's predecessor loads.
-
-    ``c_msg``/``c_cap``/``seg_start`` describe the live path occurrences
-    sorted by gid (segment = one gid's occurrences, in processing
-    order).  Returns a length-``m`` bool vector: ``True`` iff the
-    message would fit every channel of its path after packing exactly
-    the ``member`` messages that precede it in processing order.
-    """
-    flags = member[c_msg]
-    excl = np.cumsum(flags, dtype=np.int64)
-    excl -= flags  # exclusive: predecessors only, not the occurrence itself
-    # segment baseline: excl at each gid group's first occurrence.  excl is
-    # non-decreasing, so a running max over the group-start values recovers
-    # the current group's baseline without a gather.
-    base = np.maximum.accumulate(np.where(seg_start, excl, 0))
-    within = excl - base
-    bad = within >= c_cap
-    viol = np.bincount(c_msg[bad], minlength=m)
-    return viol == 0
 
 
 def _fits_pair(
@@ -101,8 +81,10 @@ def _fits_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both certainty bounds in one fused pass set.
 
-    Returns ``(upper_fits, lower_fits)`` — :func:`_fits` evaluated at
-    member sets ``lower | uncertain`` and ``lower`` respectively.  The
+    Returns ``(upper_fits, lower_fits)``: per message, ``True`` iff it
+    would fit every channel of its path after packing exactly the
+    member messages that precede it in processing order, for the member
+    sets ``lower | uncertain`` and ``lower`` respectively.  The
     two sets are disjoint by invariant, so the upper exclusive counts
     are the lower counts plus the uncertain counts: one extra cumsum
     instead of a second full pipeline, and the gathers are shared.
@@ -133,7 +115,7 @@ def _seg_start(gid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_fit_scan(rows: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, int]:
+def _first_fit_scan(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Sequential first-fit via per-channel saturation bitmasks.
 
     One pass over the messages: each channel gid keeps an arbitrary-
@@ -150,11 +132,14 @@ def _first_fit_scan(rows: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, int
     # compact the gid domain to channels actually touched: the per-cycle
     # residual rows are copied from caps, so their length must track the
     # footprint of *this* problem, not the full (possibly batch-tiled)
-    # capacity vector
-    uniq, inv = np.unique(rows, return_inverse=True)
-    paths = inv.reshape(rows.shape).tolist()
-    caps_list = caps[uniq].tolist()
-    full = [0] * uniq.size  # per-gid bitmask of saturated cycles
+    # capacity vector.  A touched-flag prefix sum renumbers the gids in
+    # O(caps + rows), without sorting.
+    touched = np.zeros(caps.size, dtype=bool)
+    touched[rows] = True
+    slot = np.cumsum(touched, dtype=np.int64) - 1
+    paths = slot[rows].tolist()
+    caps_list = caps[touched].tolist()
+    full = [0] * len(caps_list)  # per-gid bitmask of saturated cycles
     used: list[list[int]] = []  # per-cycle residual capacity per gid
     assignment = np.zeros(m, dtype=np.int64)
     out = assignment.tolist()
@@ -176,11 +161,11 @@ def _first_fit_scan(rows: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, int
             if not c:
                 full[g] |= bit
         out[i] = t
-    return np.asarray(out, dtype=np.int64), num_cycles
+    return np.asarray(out, dtype=np.int64)
 
 
 def first_fit_assign(
-    rows: np.ndarray, caps: np.ndarray
+    rows: np.ndarray, caps: np.ndarray, *, num_sets: int = 1
 ) -> tuple[np.ndarray, int]:
     """Sequential first-fit cycle assignment, fully vectorised.
 
@@ -194,32 +179,52 @@ def first_fit_assign(
         Flat int64 capacity vector indexed by gid.  Every gid appearing
         in ``rows`` must have capacity ≥ 1 (unroutable messages must be
         rejected by the caller first).
+    num_sets:
+        How many channel-disjoint problems ``rows`` holds: ``caps`` is
+        then ``num_sets`` equal blocks of gids and every row's gids lie
+        in one block (the offset embedding of
+        :func:`repro.perf.batch.batch_schedule`).  Each set gets the
+        strategy its own overload ratio calls for.
 
     Returns
     -------
     ``(assignment, num_cycles)`` where ``assignment[i]`` is the cycle
     the ``i``-th row lands in — bit-identical to the scalar loop
     "place each message in the earliest cycle with residual capacity on
-    its whole path".
+    its whole path", run once per set.
     """
-    m, _width = rows.shape
+    m = rows.shape[0]
     assignment = np.zeros(m, dtype=np.int64)
     if m == 0:
         return assignment, 0
+    # a set whose channel demand nowhere exceeds capacity packs into
+    # cycle 0 outright — no sort needed.  Otherwise its densest
+    # channel's overload ratio is a floor on its number of delivery
+    # cycles: past a few cycles the wave iteration re-touches nearly
+    # every occurrence per cycle, while the saturation-bitmask scan's
+    # work is independent of the cycle count — switch over.
+    demand = np.bincount(rows.reshape(-1), minlength=caps.size)
+    ratio = (demand / np.maximum(caps, 1)).reshape(num_sets, -1).max(axis=1)
+    heavy = ratio >= 3.0
+    for group, engine in (
+        (~heavy & (ratio > 1.0), _first_fit_waves),
+        (heavy, _first_fit_scan),
+    ):
+        if group.all():
+            assignment = engine(rows, caps)
+        elif group.any():
+            take = group[rows[:, 0] // (caps.size // num_sets)]
+            assignment[take] = engine(rows[take], caps)
+    return assignment, int(assignment.max()) + 1
 
-    occ_gid = np.ascontiguousarray(rows).reshape(-1)
-    # global fast path: if no channel's total demand exceeds its
-    # capacity, the whole input packs into cycle 0 — no sort needed
-    demand = np.bincount(occ_gid, minlength=caps.size)
-    if (demand <= caps).all():
-        return assignment, 1
-    # the densest channel's overload ratio is a floor on the number of
-    # delivery cycles.  Past a few cycles the wave iteration re-touches
-    # nearly every occurrence per cycle, while the saturation-bitmask
-    # scan's work is independent of the cycle count — switch over.
-    if float(np.max(demand / np.maximum(caps, 1))) >= 3.0:
-        return _first_fit_scan(rows, caps)
 
+def _first_fit_waves(rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """First-fit by certainty-interval waves (see the module docstring):
+    the profitable strategy while channels are at most a few times
+    overloaded."""
+    m = rows.shape[0]
+    assignment = np.zeros(m, dtype=np.int64)
+    occ_gid = rows.reshape(-1)
     occ_msg = np.repeat(np.arange(m, dtype=np.int64), rows.shape[1])
     # one global stable sort; within a gid group, occurrences keep
     # processing order.  Waves below only ever *compact* these arrays,
@@ -315,4 +320,4 @@ def first_fit_assign(
             c_msg = c_msg[keep]
             c_gid = c_gid[keep]
             c_cap = c_cap[keep]
-    return assignment, t
+    return assignment

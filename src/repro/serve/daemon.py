@@ -128,7 +128,9 @@ class ServeEngine:
         if cfg.warm_sets and cfg.shards:
             specs = self._publish_warm_sets()
         try:
-            self.pool = ShardPool(cfg.shards, shared_specs=specs)
+            self.pool = ShardPool(
+                cfg.shards, shared_specs=specs, metrics=self.metrics
+            )
         except BaseException:
             # a pool that failed to start must not orphan the published
             # /dev/shm names — nobody else will ever unlink them

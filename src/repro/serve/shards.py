@@ -26,13 +26,14 @@ neighbours coalesced with it.
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..core.fattree import FatTree
     from ..core.message import MessageSet
     from ..core.schedule import Schedule
-    from ..obs import Obs
+    from ..obs import MetricsRegistry, Obs
 
 from ..core.errors import DeliveryTimeout, UnroutableError
 from .protocol import CODE_TIMEOUT, CODE_UNROUTABLE
@@ -172,27 +173,48 @@ class ShardPool:
     a :class:`~concurrent.futures.ProcessPoolExecutor` holds the
     workers alive across dispatches, so trees and arena attachments are
     paid once, not per request.
+
+    A worker's death breaks the executor: the batches in flight on it
+    fail with :class:`BrokenProcessPool`, and the next :meth:`submit`
+    replaces the executor with a fresh one (same initializer, same
+    shared-arena specs) instead of failing every later dispatch.  Each
+    replacement counts ``serve.pool_restarts`` in ``metrics``.
     """
 
     def __init__(
-        self, shards: int, *, shared_specs: list[dict] | None = None
+        self,
+        shards: int,
+        *,
+        shared_specs: list[dict] | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if shards < 0:
             raise ValueError(f"shards must be >= 0, got {shards}")
         self.shards = int(shards)
         self._specs = list(shared_specs or [])
+        self._metrics = metrics
         self._pool: ProcessPoolExecutor | None = None
         if self.shards:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.shards,
-                initializer=_pool_init,
-                initargs=(self._specs,),
-            )
+            self._pool = self._start()
+
+    def _start(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.shards,
+            initializer=_pool_init,
+            initargs=(self._specs,),
+        )
 
     def submit(self, payload: dict) -> "Future[dict]":
         """Dispatch one batch payload; returns a future of the result."""
         if self._pool is not None:
-            return self._pool.submit(_pool_call, payload)
+            try:
+                return self._pool.submit(_pool_call, payload)
+            except BrokenProcessPool:
+                broken, self._pool = self._pool, self._start()
+                broken.shutdown(wait=True, cancel_futures=True)
+                if self._metrics is not None:
+                    self._metrics.inc("serve.pool_restarts")
+                return self._pool.submit(_pool_call, payload)
         inline: Future[dict] = Future()
         try:
             inline.set_result(_pool_call(payload))

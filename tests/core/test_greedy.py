@@ -1,6 +1,7 @@
 """Tests for the baseline schedulers."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ConstantCapacity,
+    DeliveryTimeout,
     FatTree,
     MessageSet,
     UniversalCapacity,
@@ -70,8 +72,14 @@ class TestOnlineRetry:
     def test_max_cycles_guard(self):
         ft = FatTree(8, ConstantCapacity(3, 1))
         m = MessageSet([0] * 10, [7] * 10, 8)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(DeliveryTimeout) as excinfo:
             simulate_online_retry(ft, m, max_cycles=3)
+        # one wire per channel: one delivery per cycle, and every
+        # pending message attempted in each of the three cycles
+        exc = excinfo.value
+        assert exc.cycles == 3
+        assert exc.undelivered == [(0, 7)] * 7
+        assert exc.attempts == Counter({3: 7})
 
     def test_every_cycle_nonwasteful(self):
         """Each cycle delivers at least one message (progress guarantee)."""

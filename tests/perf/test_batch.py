@@ -190,6 +190,55 @@ class TestBatchEdges:
             assert _exact_cycles(got) == _exact_cycles(solo)
 
 
+def _overload_ratio(ft, ms):
+    """The densest channel's demand over its capacity."""
+    from repro.perf import get_path_index
+
+    index = get_path_index(ft, ms.without_self_messages())
+    demand = np.bincount(index.paths.ravel(), minlength=index.num_slots)
+    return float((demand / np.maximum(index.caps, 1)).max())
+
+
+class TestBatchAgainstPythonOracles:
+    """Solo calls are batches of one, so batch-vs-solo parity alone
+    would compare the shared loop with itself: check every set of a
+    batch against the pure-Python oracles directly."""
+
+    @pytest.mark.parametrize("order", ["given", "random", "longest-first"])
+    def test_greedy_mixed_overload_batch(self, order):
+        # first_fit_assign picks each set's strategy from its own
+        # overload ratio: >= 3 scans, (1, 3) runs waves, <= 1 packs
+        # into cycle 0 — one batch mixes all three
+        from repro.core.greedy import _reference_schedule_greedy_first_fit
+
+        ft = FatTree(16, UniversalCapacity(16, 8, strict=False))
+        hotspot = MessageSet([i for i in range(16) if i != 5] * 2, [5] * 30, 16)
+        reversal = MessageSet.from_permutation(list(range(15, -1, -1)))
+        local = MessageSet([0, 2, 4, 9], [1, 3, 5, 8], 16)
+        sets = [hotspot, reversal, local, uniform_random(16, 8, seed=0)]
+        ratios = [_overload_ratio(ft, ms) for ms in sets]
+        assert ratios[0] >= 3 and 1 < ratios[1] < 3 and ratios[2] <= 1
+        assert 1 < ratios[3] < 3
+        for got, ms in zip(batch_schedule(ft, sets, order=order), sets):
+            want = _reference_schedule_greedy_first_fit(ft, ms, order=order)
+            assert _exact_cycles(got) == _exact_cycles(want)
+
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
+    def test_random_rank_batch(self, loss_rate):
+        from repro.core.online import _reference_schedule_random_rank
+
+        ft = FatTree(16, UniversalCapacity(16, 8, strict=False))
+        sets = [uniform_random(16, 10 * (b + 1), seed=b) for b in range(4)]
+        got = batch_schedule(
+            ft, sets, kernel="random_rank", seed=3, loss_rate=loss_rate
+        )
+        for sched, ms in zip(got, sets):
+            want = _reference_schedule_random_rank(
+                ft, ms, seed=3, loss_rate=loss_rate
+            )
+            assert _exact_cycles(sched) == _exact_cycles(want)
+
+
 def test_int64_dtype_everywhere():
     """Batched schedules must come from int64 packed-gid arithmetic —
     spot-check a batch on the widest tree in the suite."""

@@ -265,3 +265,48 @@ class TestRequestValidation:
             ServeEngine(
                 ServeConfig(n=16, shards=0), tenants={"big": FatTree(64)}
             )
+
+
+class TestWorkerDeath:
+    def test_killed_worker_costs_only_its_batch(self):
+        """After a shard worker is SIGKILLed the pool is rebuilt: the
+        next request answers ok, the restart is counted, and the
+        shared-memory arena still unlinks cleanly on close."""
+        import glob
+        import os
+        import signal
+        import time
+
+        before = set(glob.glob("/dev/shm/repro_pi_*"))
+        cfg = ServeConfig(
+            n=16, shards=1, warm_sets=1, warm_messages=16, batch_window_s=0.001
+        )
+        engine = ServeEngine(cfg)
+
+        def request(i):
+            return as_request(
+                i, uniform_random(16, 8, seed=i), tenant="default",
+                kernel="greedy",
+            )
+
+        try:
+            assert run(engine.submit(request(0)))["ok"] is True
+            (pid,) = list(engine.pool._pool._processes)
+            os.kill(pid, signal.SIGKILL)
+            # the executor notices the death and reaps the worker
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.01)
+            resp = run(engine.submit(request(1)))
+            assert resp["ok"] is True, resp
+            assert resp["num_cycles"] == schedule_greedy_first_fit(
+                FatTree(16), uniform_random(16, 8, seed=1)
+            ).num_cycles
+            assert engine.metrics.counter_value("serve.pool_restarts") == 1
+        finally:
+            engine.close()
+        assert set(glob.glob("/dev/shm/repro_pi_*")) - before == set()

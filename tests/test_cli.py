@@ -227,6 +227,20 @@ class TestTrace:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_online_retry_honours_max_cycles(self, capsys):
+        code = main(
+            [
+                "trace", "--quick", "--scheduler", "online-retry",
+                "--traffic", "hotspot", "--max-cycles", "2",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:")
+        assert "after 2 delivery cycles" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_invalid_scenario_exits_2(self, capsys):
         assert main(["trace", "--quick", "--kill-wires", "2.0"]) == 2
         assert "invalid fault scenario" in capsys.readouterr().err
