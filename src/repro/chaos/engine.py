@@ -4,13 +4,15 @@
 mutable :class:`~repro.faults.DegradedFatTree` (the caller's tree is
 never mutated), the :class:`~repro.chaos.ChaosClock`, per-channel
 :class:`~repro.chaos.ChannelHealth` breakers, and the per-cycle
-:class:`~repro.core.CycleStats` recorder.  The runtime loops
+:class:`~repro.core.CycleStats` recorder.  The on-line retry loops
 (``schedule_random_rank``, ``simulate_online_retry``,
-``run_until_delivered``, ``run_store_and_forward``) accept the
-controller through their ``chaos=`` parameter and drive it at fixed
-hook points; when ``chaos is None`` those hooks compile away to the
-exact pre-chaos code path, which is what makes an empty-timeline chaos
-run bit-identical to a healthy run.
+``run_until_delivered``) accept the controller through their
+``chaos=`` parameter, and the one delivery-cycle driver they share
+(:mod:`repro.perf.driver`) runs its hooks; ``run_store_and_forward``
+and :func:`run_chaos_schedule` keep their own step loops and call its
+one prologue method per step.  With ``chaos is None`` no hook runs and
+no RNG draw moves, which is what makes an empty-timeline chaos run
+bit-identical to a healthy run.
 
 Recovery is incremental by construction: a capacity mutation
 delta-updates the shared :class:`~repro.perf.PathIndex` via
@@ -44,6 +46,7 @@ from ..faults.backoff import BackoffPolicy
 from ..faults.degraded import DegradedFatTree
 from ..faults.model import FaultModel
 from ..perf import PAD_GID, get_path_index
+from ..perf.driver import close_cycle
 from .clock import ChaosClock
 from .health import BreakerConfig, ChannelHealth
 from .timeline import ChaosSchedule
@@ -106,6 +109,8 @@ class ChaosController:
         self.cycle_stats: list[CycleStats] = []
         self.dropped_rows: list[int] = []
         self._severed_gids: list[int] = []
+        #: (in flight, dropped) of the cycle the last prologue opened
+        self._opened = (0, 0)
 
     # -- per-cycle hooks ---------------------------------------------------
 
@@ -174,16 +179,15 @@ class ChaosController:
             elif zero:
                 drops.append(i)
         if drops and self.on_severed == "raise":
-            pairs = [
-                (int(messages.src[i]), int(messages.dst[i])) for i in drops
-            ]
             if self.obs.enabled:
                 self.obs.tracer.emit(
                     "chaos.abort", t=t, severed=len(drops)
                 )
                 self.obs.metrics.inc("chaos.aborted", len(drops))
             raise DeliveryTimeout(
-                pairs, t, Counter(int(attempts[i]) for i in drops)
+                messages.take(np.asarray(drops, dtype=np.int64)).as_pairs(),
+                t,
+                Counter(int(attempts[i]) for i in drops),
             )
         if drops:
             self.dropped_rows.extend(drops)
@@ -200,6 +204,24 @@ class ChaosController:
             if park:
                 self.obs.metrics.inc("chaos.parked", len(park))
         return drops, park
+
+    def _prologue(self, t: int, index, live, messages, attempts, *, gids_of=None) -> tuple:
+        """The per-cycle prologue of every chaos-instrumented loop:
+        :meth:`begin_cycle`, then :meth:`resolve_severed` for the
+        ``live`` rows (a mask of the rows in flight) that
+        :meth:`severed_rows` finds.  Returns ``(index, drops, park)``,
+        and opens the cycle's record with its in-flight and dropped
+        counts."""
+        index = self.begin_cycle(t, index)
+        rows = self.severed_rows(index, live)
+        drops: list[int] = []
+        park: dict[int, int] = {}
+        if rows.size:
+            drops, park = self.resolve_severed(
+                index, rows, t, messages, attempts, gids_of=gids_of
+            )
+        self._opened = (int(np.count_nonzero(live)), len(drops))
+        return index, drops, park
 
     @property
     def perturbed(self) -> bool:
@@ -288,10 +310,8 @@ class ChaosController:
 
     def dropped_pairs(self, messages: MessageSet) -> list[tuple[int, int]]:
         """The dropped ``(src, dst)`` pairs, in row order."""
-        return [
-            (int(messages.src[i]), int(messages.dst[i]))
-            for i in sorted(self.dropped_rows)
-        ]
+        dropped = self.dropped_messages(messages)
+        return [] if dropped is None else dropped.as_pairs()
 
 
 # -- runtime entry points --------------------------------------------------
@@ -510,19 +530,14 @@ def run_chaos_schedule(
         if t >= max_cycles:
             remaining = np.flatnonzero(pending_mask)
             raise DeliveryTimeout(
-                [
-                    (int(routable.src[i]), int(routable.dst[i]))
-                    for i in remaining
-                ],
+                routable.take(remaining).as_pairs(),
                 t,
-                Counter(int(attempts[i]) for i in remaining),
+                Counter(attempts[remaining].tolist()),
             )
-        in_flight = undelivered
-        index = ctrl.begin_cycle(t, index)
+        index, drops, park = ctrl._prologue(
+            t, index, pending_mask, routable, attempts
+        )
         caps = index.caps
-        # resolve severed rows anywhere in flight
-        severed = ctrl.severed_rows(index, pending_mask)
-        drops, park = ctrl.resolve_severed(index, severed, t, routable, attempts)
         moved = set(drops) | set(park)
         if moved:
             queue = deque(
@@ -570,16 +585,13 @@ def run_chaos_schedule(
                         "after eviction"
                     )
             attempts[evicted] += 1
-        deferred = sum(int(rows.size) for rows in queue) + len(parked)
         congested = int((attempts[evicted] == 1).sum())
-        retried = int(evicted.size) - congested
-        ctrl.record(
-            in_flight=in_flight,
+        close_cycle(
+            ctrl,
             delivered=int(delivered_rows.size),
+            deferred=sum(int(rows.size) for rows in queue) + len(parked),
             congested=congested,
-            retried=retried,
-            deferred=deferred,
-            dropped=len(drops),
+            retried=int(evicted.size) - congested,
         )
         out_cycles.append(routable.take(delivered_rows))
         pending_mask[delivered_rows] = False

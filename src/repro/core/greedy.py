@@ -14,6 +14,10 @@ for the even-split partitioner:
   the seed.
 
 Both route over the shared :class:`~repro.perf.PathIndex`.
+:func:`simulate_online_retry` supplies only its arbitration step —
+shuffle, then first-fit against fresh capacities — to the shared
+delivery-cycle driver (:mod:`repro.perf.driver`), which owns retries,
+chaos hooks, timeouts and per-cycle accounting.
 :func:`schedule_greedy_first_fit` is a batch of one: it runs the single
 greedy driver of :mod:`repro.perf.batch` (the driver
 :func:`~repro.perf.batch_schedule` runs for B sets) on a one-set batch.
@@ -28,7 +32,6 @@ The per-level dict-of-arrays bookkeeping is retained in
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,8 +39,10 @@ import numpy as np
 if TYPE_CHECKING:
     from ..chaos.engine import ChaosController
     from ..obs import Obs
+    from ..perf import PathIndex
+    from ._types import IntArray
 
-from .errors import DeliveryTimeout, UnroutableError
+from .errors import UnroutableError
 from .fattree import Direction, FatTree
 from .message import MessageSet
 from .schedule import Schedule
@@ -184,140 +189,87 @@ def simulate_online_retry(
     ``obs`` (default: the module-level
     :func:`~repro.obs.get_default_obs`) receives per-cycle ``cycle``
     trace events (losers count as congested), retry counters,
-    utilisation histograms and a kernel wall-time span.  Exhausting
-    ``max_cycles`` with messages pending raises
-    :class:`~repro.core.errors.DeliveryTimeout` carrying the pending
-    pairs and their attempt histogram.
+    utilisation histograms and a kernel wall-time span.  A run that
+    exhausts ``max_cycles``, or provably must (every pending message
+    parked past it), raises :class:`~repro.core.errors.DeliveryTimeout`
+    carrying the pending pairs and their attempt histogram.
 
     ``chaos`` attaches a :class:`~repro.chaos.ChaosController`: its
     timeline mutates the tree between cycles, severed messages park
     until their scheduled repair (or drop, with accounting), open
-    circuit breakers defer traffic without an attempt, and the returned
+    circuit breakers defer traffic without an attempt (the deferred
+    messages still take their place in the shuffle), and the returned
     schedule carries per-cycle :class:`~repro.core.CycleStats`.  With
-    ``chaos=None`` or an empty timeline the RNG shuffle sequence is
-    untouched, so the schedule is bit-identical to a healthy run.
+    ``chaos=None`` or an empty timeline the schedule is bit-identical
+    to a healthy run.
     """
     from ..obs import resolve_obs
-    from ..perf import get_path_index
-    from .online import _level_capacity_totals, _record_cycle
+    from ..perf.batch import _combined_index
+    from ..perf.driver import Grant, run_cycles
 
     obs = resolve_obs(obs)
     rng = np.random.default_rng(seed)
-    routable = messages.without_self_messages()
-    index = get_path_index(ft, routable, obs=obs)
-    mask = index.routable_mask()
-    if chaos is None and not mask.all():
-        raise UnroutableError(routable.take(~mask).as_pairs())
-    n_self = len(messages) - len(routable)
+    (routable,), _, index, offsets = _combined_index(
+        ft, [messages], obs, strict=chaos is None
+    )
     m = len(routable)
-    pending = list(range(m))
-    attempts = np.zeros(m, dtype=np.int64)
-    parked: dict[int, int] = {}
-    paths = index.paths
-    fresh = index.caps
-    cycles: list[MessageSet] = []
-    tracing = obs.enabled
-    if tracing:
-        level_cap_totals = _level_capacity_totals(ft)
+    # the shuffle order carries over: last cycle's losers, then its
+    # held rows; rows released from a park rejoin at the end, ascending
+    carried: list[int] = []
+
+    def shuffle_first_fit(
+        t: int, rows: IntArray, held: IntArray, lr: float, index: PathIndex
+    ) -> Grant:
+        nonlocal carried
+        order = rows.tolist()
+        if held.size:
+            order = sorted(order + held.tolist())
+        if carried:
+            live = set(order)
+            kept = [i for i in carried if i in live]
+            if len(kept) < len(order):
+                seen = set(kept)
+                kept += [i for i in order if i not in seen]
+            order = kept
+        # held rows are shuffled too: the stream ignores the breakers
+        rng.shuffle(order)
+        held_set = set(held.tolist())
+        residual = index.caps.copy()
+        paths = index.paths
+        delivered: list[int] = []
+        still: list[int] = []
+        deferred: list[int] = []
+        for i in order:
+            if i in held_set:
+                deferred.append(i)
+                continue
+            path = paths[i]
+            if (residual[path] > 0).all():
+                residual[path] -= 1
+                delivered.append(i)
+            else:
+                still.append(i)
+        carried = still + deferred
+        return Grant(
+            np.array(sorted(delivered), dtype=np.int64),
+            np.asarray(still, dtype=np.int64),
+            False,
+        )
+
     with obs.kernel("simulate_online_retry", n=ft.n, m=m, seed=seed):
-        while pending or parked:
-            t = len(cycles)
-            if t >= max_cycles:
-                rows = np.asarray(sorted(pending + list(parked)), dtype=np.int64)
-                raise DeliveryTimeout(
-                    routable.take(rows).as_pairs(),
-                    t,
-                    Counter(attempts[rows].tolist()),
-                )
-            dropped_now = 0
-            blocked_set: set[int] = set()
-            if chaos is not None:
-                in_flight = len(pending) + len(parked)
-                index = chaos.begin_cycle(t, index)
-                paths = index.paths
-                fresh = index.caps
-                pm = np.zeros(m, dtype=bool)
-                if pending:
-                    pm[np.asarray(pending, dtype=np.int64)] = True
-                if parked:
-                    pm[np.asarray(list(parked), dtype=np.int64)] = True
-                severed = chaos.severed_rows(index, pm)
-                if severed.size:
-                    drops, park = chaos.resolve_severed(
-                        index, severed, t, routable, attempts
-                    )
-                    moved = set(drops) | set(park)
-                    if moved:
-                        pending = [i for i in pending if i not in moved]
-                    for i in drops:
-                        parked.pop(i, None)
-                    dropped_now = len(drops)
-                    parked.update(park)
-                due = sorted(i for i, heal_at in parked.items() if heal_at <= t)
-                for i in due:
-                    del parked[i]
-                pending.extend(due)
-                if not pending and not parked:
-                    cycles.append(MessageSet.empty(ft.n))
-                    chaos.record(
-                        in_flight=in_flight,
-                        delivered=0,
-                        congested=0,
-                        retried=0,
-                        deferred=0,
-                        dropped=dropped_now,
-                    )
-                    break
-            residual = fresh.copy()
-            rng.shuffle(pending)
-            if chaos is not None and pending:
-                arr = np.asarray(pending, dtype=np.int64)
-                bmask = chaos.breaker_blocked(index, arr, t)
-                if bmask.any():
-                    blocked_set = set(arr[bmask].tolist())
-            delivered: list[int] = []
-            still: list[int] = []
-            deferred_ids: list[int] = []
-            for i in pending:
-                if i in blocked_set:
-                    deferred_ids.append(i)
-                    continue
-                path = paths[i]
-                if (residual[path] > 0).all():
-                    residual[path] -= 1
-                    delivered.append(i)
-                else:
-                    still.append(i)
-            attempted = delivered + still
-            if attempted:
-                attempts[np.asarray(attempted, dtype=np.int64)] += 1
-            delivered_idx = np.array(sorted(delivered), dtype=np.int64)
-            cycles.append(routable.take(delivered_idx))
-            if tracing:
-                _record_cycle(
-                    obs,
-                    "online_retry",
-                    len(cycles) - 1,
-                    delivered=len(delivered),
-                    congested=len(still),
-                    deferred=len(deferred_ids) + len(parked),
-                    index=index,
-                    delivered_idx=delivered_idx,
-                    level_cap_totals=level_cap_totals,
-                )
-            if chaos is not None:
-                still_arr = np.asarray(still, dtype=np.int64)
-                congested_now = int((attempts[still_arr] == 1).sum())
-                chaos.note_outcomes(index, delivered_idx, still_arr, t)
-                chaos.record(
-                    in_flight=in_flight,
-                    delivered=len(delivered),
-                    congested=congested_now,
-                    retried=len(still) - congested_now,
-                    deferred=len(deferred_ids) + len(parked),
-                    dropped=dropped_now,
-                )
-            pending = still + deferred_ids
+        (cycle_rows,), _ = run_cycles(
+            ft,
+            index,
+            routable,
+            offsets,
+            shuffle_first_fit,
+            max_cycles=max_cycles,
+            obs=obs,
+            label="online_retry",
+            chaos=chaos,
+        )
+    cycles = [routable.take(rows) for rows in cycle_rows]
+    n_self = len(messages) - m
     if chaos is None:
         return Schedule(cycles=cycles, n_self_messages=n_self)
     return Schedule(

@@ -18,13 +18,14 @@ path).  Losers retry next cycle with fresh ranks — fully on-line: no
 global knowledge, only per-channel comparisons, exactly what a switch
 can do in hardware.
 
-:func:`schedule_random_rank` is a batch of one: it runs the single
-vectorised random-rank cycle loop of :mod:`repro.perf.batch` (the loop
-:func:`~repro.perf.batch_schedule` runs for B sets) on a one-set batch
-over the shared :class:`~repro.perf.PathIndex`.  Each cycle is one sort
-of packed ``(channel gid, rank position)`` keys of the eligible
-messages' path entries plus a grouped prefix count, with
-delivered/backoff state in flat arrays.  The pure-Python predecessor is
+:func:`schedule_random_rank` is a batch of one: the random-rank grant
+sort of :mod:`repro.perf.batch` (what :func:`~repro.perf.batch_schedule`
+runs for B sets) is the arbitration step of the shared delivery-cycle
+driver (:mod:`repro.perf.driver`), which keeps the delivered/backoff
+state in flat arrays.  Each cycle is one sort of packed
+``(channel gid, rank position)`` keys of the eligible messages' path
+entries over the shared :class:`~repro.perf.PathIndex` plus a grouped
+prefix count.  The pure-Python predecessor is
 retained as :func:`_reference_schedule_random_rank`; the two are
 bit-identical for any seed (property-tested), so every published cycle
 count is unchanged.
@@ -34,13 +35,10 @@ channel, so a :class:`~repro.faults.DegradedFatTree` is routed against
 its surviving wires; messages whose path is severed raise
 :class:`~repro.core.errors.UnroutableError` up front.  A positive
 ``loss_rate`` (taken from the tree's fault model when not given)
-corrupts each would-be delivery independently; corrupted and congested
-messages are NACKed and re-injected after a capped binary exponential
-backoff.  Exhausting ``max_cycles`` — or reaching a state from which it
-*must* be exhausted: every pending message backed off past the remaining
-cycle budget, or a cycle that cannot make progress — raises a structured
-:class:`~repro.core.errors.DeliveryTimeout` carrying the backoff
-(attempt-count) histogram instead of looping forever.
+corrupts each would-be delivery independently; the driver NACKs
+corrupted and congested messages, backs them off, and raises a
+structured :class:`~repro.core.errors.DeliveryTimeout` rather than loop
+past — or towards — an exhausted ``max_cycles``.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ if TYPE_CHECKING:
     from ..chaos.engine import ChaosController
     from ..faults.backoff import BackoffPolicy
     from ..obs import Obs
-    from ..perf import PathIndex
-    from ._types import IntArray
 
 from .errors import DeliveryTimeout, UnroutableError
 from .fattree import Direction, FatTree
@@ -139,9 +135,9 @@ def schedule_random_rank(
     timeline) the RNG draw sequence is untouched, so the schedule is
     bit-identical to a healthy run.
 
-    A solo call is a batch of one: it runs the random-rank cycle loop
-    of :mod:`repro.perf.batch` on a one-set batch.  The result is
-    bit-identical, seed for seed, to
+    A solo call is a batch of one: the delivery-cycle driver runs the
+    random-rank grant sort of :mod:`repro.perf.batch` on a one-set
+    batch.  The result is bit-identical, seed for seed, to
     :func:`_reference_schedule_random_rank`.
     """
     from ..obs import resolve_obs
@@ -159,69 +155,6 @@ def schedule_random_rank(
         chaos=chaos,
         solo=True,
     )[0]
-
-
-def _level_capacity_totals(ft: FatTree) -> list[tuple[int, int]]:
-    """Per-level ``(up, down)`` total wire counts, for utilisation."""
-    return [
-        (
-            int(ft.cap_vector(k, Direction.UP).sum()),
-            int(ft.cap_vector(k, Direction.DOWN).sum()),
-        )
-        for k in range(ft.depth + 1)
-    ]
-
-
-def _record_cycle(
-    obs: Obs,
-    scheduler: str,
-    t: int,
-    *,
-    delivered: int,
-    congested: int,
-    deferred: int,
-    index: PathIndex | None = None,
-    delivered_idx: IntArray | None = None,
-    level_cap_totals: list[tuple[int, int]] | None = None,
-) -> None:
-    """Emit one delivery cycle's accounting: a ``cycle`` trace event
-    whose counts partition the pending messages, the matching counters,
-    and (when a path index is given) per-level utilisation histograms."""
-    obs.tracer.emit(
-        "cycle",
-        scheduler=scheduler,
-        t=t,
-        delivered=delivered,
-        congested=congested,
-        deferred=deferred,
-    )
-    if delivered:
-        obs.metrics.inc("messages.delivered", delivered, scheduler=scheduler)
-    if congested:
-        obs.metrics.inc("messages.congested", congested, scheduler=scheduler)
-        obs.metrics.inc("messages.retried", congested, scheduler=scheduler)
-    if deferred:
-        obs.metrics.inc("messages.deferred", deferred, scheduler=scheduler)
-    if index is not None and delivered_idx is not None and delivered:
-        loads = index.level_loads(delivered_idx)
-        for k in range(1, index.depth + 1):
-            up_total, down_total = level_cap_totals[k]
-            if up_total:
-                obs.metrics.observe(
-                    "channel.utilization",
-                    float(loads[k, 0]) / up_total,
-                    level=k,
-                    direction="up",
-                    scheduler=scheduler,
-                )
-            if down_total:
-                obs.metrics.observe(
-                    "channel.utilization",
-                    float(loads[k, 1]) / down_total,
-                    level=k,
-                    direction="down",
-                    scheduler=scheduler,
-                )
 
 
 def _reference_schedule_random_rank(

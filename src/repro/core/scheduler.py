@@ -178,7 +178,7 @@ def _record_offline_cycles(
     """Per-cycle accounting for an off-line scheduler: one ``cycle``
     event per delivery cycle (nothing is ever congested or deferred
     off-line) plus the self-message counter."""
-    from .online import _record_cycle
+    from ..perf.driver import _record_cycle
 
     for t, cycle in enumerate(cycles):
         _record_cycle(

@@ -20,12 +20,12 @@ delivery-cycle design:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.errors import UnroutableError
+from ..core.errors import DeliveryTimeout, UnroutableError
 from ..core.fattree import FatTree
 from ..core.message import MessageSet
 
@@ -71,7 +71,10 @@ def run_store_and_forward(
     the oldest messages queued at its tail that want to cross it.
     Capacities are per channel, so degraded trees serve only their
     surviving wires; messages with a severed path raise
-    :class:`~repro.core.errors.UnroutableError` up front.
+    :class:`~repro.core.errors.UnroutableError` up front.  Messages
+    still in flight after ``max_steps`` steps raise
+    :class:`~repro.core.errors.DeliveryTimeout` with their pairs, the
+    step count and a histogram of hops each had completed.
 
     ``obs`` (default: the module-level
     :func:`~repro.obs.get_default_obs`) receives one ``step`` trace
@@ -90,6 +93,7 @@ def run_store_and_forward(
     """
     from ..obs import resolve_obs
     from ..perf import get_path_index
+    from ..perf.driver import close_cycle
 
     obs = resolve_obs(obs)
     if messages.n != ft.n:
@@ -121,37 +125,27 @@ def run_store_and_forward(
     with obs.kernel("run_store_and_forward", n=ft.n, m=m):
         while remaining:
             if step >= max_steps:
-                raise RuntimeError(f"not delivered within {max_steps} steps")
-            dropped_now = 0
+                rows = np.flatnonzero(pending_mask)
+                raise DeliveryTimeout(
+                    routable.take(rows).as_pairs(),
+                    step,
+                    Counter(progress[i] for i in rows.tolist()),
+                )
             if chaos is not None:
-                in_flight = remaining
-                index = chaos.begin_cycle(step, index)
+                # a severed hop behind a message's progress point cannot
+                # strand it: only its remaining hops are checked
+                index, drops, _park = chaos._prologue(
+                    step, index, pending_mask, routable, progress,
+                    gids_of=lambda i: paths[i][progress[i] :],
+                )
                 caps = index.caps
-                candidates = chaos.severed_rows(index, pending_mask)
-                if candidates.size:
-                    drops, _park = chaos.resolve_severed(
-                        index,
-                        candidates,
-                        step,
-                        routable,
-                        progress,
-                        gids_of=lambda i: paths[i][progress[i] :],
-                    )
-                    for i in drops:
-                        queues[paths[i][progress[i]]].remove(i)
-                        pending_mask[i] = False
-                    remaining -= len(drops)
-                    dropped_now = len(drops)
+                for i in drops:
+                    queues[paths[i][progress[i]]].remove(i)
+                    pending_mask[i] = False
+                remaining -= len(drops)
                 if remaining == 0:
                     step += 1
-                    chaos.record(
-                        in_flight=in_flight,
-                        delivered=0,
-                        congested=0,
-                        retried=0,
-                        deferred=0,
-                        dropped=dropped_now,
-                    )
+                    close_cycle(chaos, delivered=0, deferred=0)
                     break
             step += 1
             moves: list[int] = []
@@ -172,13 +166,10 @@ def run_store_and_forward(
             depth_now = max((len(q) for q in queues.values()), default=0)
             max_depth = max(max_depth, depth_now)
             if chaos is not None:
-                chaos.record(
-                    in_flight=in_flight,
+                close_cycle(
+                    chaos,
                     delivered=delivered_now,
-                    congested=0,
-                    retried=0,
-                    deferred=in_flight - dropped_now - delivered_now,
-                    dropped=dropped_now,
+                    deferred=sum(len(q) for q in queues.values()),
                 )
             if tracing:
                 obs.tracer.emit(

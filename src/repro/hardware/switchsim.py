@@ -24,12 +24,14 @@ asserts the conservation invariant — delivered + congested + deferred
 partitions the injected multiset — so losses can never go silently
 unaccounted.
 
-The retry loop (:func:`run_until_delivered`) NACKs congested and
-corrupted messages and re-injects them under capped binary exponential
-backoff (when transient faults are active), tracks per-message attempt
-counts, and raises a structured
-:class:`~repro.core.errors.DeliveryTimeout` instead of looping past its
-cycle budget.
+The retry loop (:func:`run_until_delivered`) is the shared
+delivery-cycle driver (:mod:`repro.perf.driver`) with
+:func:`run_delivery_cycle` as its arbitration step: congested and
+corrupted messages are NACKed and re-injected under capped binary
+exponential backoff (when transient faults are active), never-injected
+ones retry next cycle at no cost, attempt counts are tracked per
+message, and a run that cannot finish raises a structured
+:class:`~repro.core.errors.DeliveryTimeout`.
 
 The simulator is the end-to-end check on the scheduling theory: a
 one-cycle message set must route with zero congestion drops under ideal
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.errors import DeliveryTimeout, UnroutableError
+from ..core.errors import UnroutableError
 from ..core.fattree import Direction, FatTree
 from ..core.message import MessageSet
 from ..core.schedule import Schedule
@@ -315,38 +317,34 @@ def run_until_delivered(
 ) -> RetryOutcome:
     """Deliver ``messages`` with the §II acknowledge-and-retry loop.
 
-    Congestion losses are NACKed and retried next cycle.  When transient
-    faults are active (``fault_rate`` > 0 or a degraded tree's
-    ``loss_rate``), each failed message instead backs off for a uniform
-    number of cycles within a window that doubles per failed attempt,
-    capped at ``max_backoff`` — the classic remedy for random loss.
-    Per-message attempt counts are returned on the outcome.  Messages
-    with no surviving path raise
-    :class:`~repro.core.errors.UnroutableError` up front, and exhausting
-    ``max_cycles`` raises :class:`~repro.core.errors.DeliveryTimeout`
-    with the pending messages and their attempt counts — the loop can
-    never hang.
+    Congestion losses are NACKed and retried next cycle; messages a
+    processor could not inject retry next cycle without using an
+    attempt.  When transient faults are active (``fault_rate`` > 0 or a
+    degraded tree's ``loss_rate``), each failed message instead backs
+    off for a uniform number of cycles within a window that doubles per
+    failed attempt, capped at ``max_backoff`` (``backoff``, an explicit
+    :class:`~repro.faults.BackoffPolicy`, replaces those constants).
+    Messages with no surviving path raise
+    :class:`~repro.core.errors.UnroutableError` up front; a run that
+    exhausts ``max_cycles``, or provably must, raises
+    :class:`~repro.core.errors.DeliveryTimeout` with the pending
+    messages and their attempt counts.
 
     ``obs`` (default: the module-level
     :func:`~repro.obs.get_default_obs`) is threaded into every
-    :func:`run_delivery_cycle` (one ``cycle`` event each) and
-    additionally receives retry counters, a per-message attempt
-    histogram and a kernel wall-time span around the whole loop.
-
-    ``backoff`` supplies an explicit
-    :class:`~repro.faults.BackoffPolicy` (the default reproduces the
-    built-in constants bit for bit); ``chaos`` attaches a
+    :func:`run_delivery_cycle` (one ``cycle`` event each) and also
+    receives retry counters, a per-message attempt histogram and a
+    kernel wall-time span.  ``chaos`` attaches a
     :class:`~repro.chaos.ChaosController` that mutates the tree between
-    delivery cycles — severed messages park until their scheduled
-    repair or are dropped (recorded on the outcome), breaker-blocked
-    messages defer, and per-cycle :class:`~repro.core.CycleStats` land
-    on the outcome.  With ``chaos=None`` or an empty timeline the RNG
-    streams are untouched, so reports are bit-identical to a healthy
-    run.
+    cycles: severed messages park until their repair or drop, breaker-
+    blocked ones defer, and per-cycle :class:`~repro.core.CycleStats`
+    and the drops land on the outcome.  With ``chaos=None`` or an empty
+    timeline the reports are bit-identical to a healthy run.
     """
     from ..faults.backoff import BackoffPolicy
     from ..obs import resolve_obs
     from ..perf import get_path_index
+    from ..perf.driver import Grant, run_cycles
 
     obs = resolve_obs(obs)
     if max_backoff < 1:
@@ -360,141 +358,67 @@ def run_until_delivered(
     mask = index.routable_mask()
     if chaos is None and not mask.all():
         raise UnroutableError(messages.take(~mask).as_pairs())
-    model = getattr(ft, "faults", None)
-    lossy = bool(fault_rate) or (model is not None and model.loss_rate > 0)
-    srcs, dsts = messages.src, messages.dst
     m = len(messages)
-    attempts = [0] * m
-    next_try = [0] * m
-    pending = list(range(m))
+    model = getattr(ft, "faults", None)
+    reports: dict[int, DeliveryReport] = {}
+
+    def switch_cycle(t: int, rows, held, lr: float, index) -> Grant:
+        # the cycle is lossy (failures back off) while the explicit
+        # fault rate or the tree's transient loss rate — which a chaos
+        # clock may flip — is positive
+        lossy = bool(fault_rate) or (model is not None and model.loss_rate > 0)
+        if not rows.size:
+            return Grant(rows, rows, lossy)
+        srcs, dsts = messages.src[rows], messages.dst[rows]
+        report = reports[t] = run_delivery_cycle(
+            ft,
+            MessageSet(srcs, dsts, ft.n),
+            concentrators=concentrators,
+            seed=seed + t,
+            payload_bits=payload_bits,
+            fault_rate=fault_rate,
+            obs=obs,
+        )
+        # map frames back to rows ((src, dst) multiset): delivered ones
+        # deliver, congested ones failed an attempt, deferred ones were
+        # never injected
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for i, s, d in zip(rows.tolist(), srcs.tolist(), dsts.tolist()):
+            buckets.setdefault((s, d), []).append(i)
+        done = sorted(buckets[(f.src, f.dst)].pop() for f in report.delivered)
+        failed = [buckets[(f.src, f.dst)].pop() for f in report.congested]
+        if obs.enabled and failed:
+            obs.metrics.inc("messages.retried", len(failed), scheduler="switchsim")
+        return Grant(
+            np.asarray(done, dtype=np.int64), np.asarray(failed, dtype=np.int64), lossy
+        )
+
     backoff_rng = np.random.default_rng((seed + 1) * 0x9E3779B1)
-    jrng = policy.jitter_rng(backoff_rng)
-    outcome = RetryOutcome(cycles=0, attempts=attempts)
-    cycle_seed = seed
-    t = 0
     with obs.kernel("run_until_delivered", n=ft.n, m=m, seed=seed):
-        while pending:
-            if t >= max_cycles:
-                raise DeliveryTimeout(
-                    [(int(srcs[i]), int(dsts[i])) for i in pending],
-                    t,
-                    Counter(attempts[i] for i in pending),
-                )
-            dropped_now = 0
-            if chaos is not None:
-                in_flight = len(pending)
-                index = chaos.begin_cycle(t, index)
-                pm = np.zeros(m, dtype=bool)
-                pm[np.asarray(pending, dtype=np.int64)] = True
-                severed = chaos.severed_rows(index, pm)
-                if severed.size:
-                    drops, park = chaos.resolve_severed(
-                        index, severed, t, messages, attempts
-                    )
-                    for i, heal_at in park.items():
-                        next_try[i] = heal_at
-                    if drops:
-                        dset = set(drops)
-                        pending = [i for i in pending if i not in dset]
-                        dropped_now = len(drops)
-                # the clock may have flipped the transient loss rate
-                lossy = bool(fault_rate) or (
-                    model is not None and model.loss_rate > 0
-                )
-            eligible = [i for i in pending if next_try[i] <= t]
-            if chaos is not None and eligible:
-                arr = np.asarray(eligible, dtype=np.int64)
-                bmask = chaos.breaker_blocked(index, arr, t)
-                if bmask.any():
-                    eligible = arr[~bmask].tolist()
-            if eligible:
-                take = np.array(eligible, dtype=np.int64)
-                report = run_delivery_cycle(
-                    ft,
-                    MessageSet(srcs[take], dsts[take], ft.n),
-                    concentrators=concentrators,
-                    seed=cycle_seed,
-                    payload_bits=payload_bits,
-                    fault_rate=fault_rate,
-                    obs=obs,
-                )
-            else:  # every pending message is backing off this cycle
-                report = DeliveryReport([], [], [], 0, payload_bits)
-            outcome.reports.append(report)
-            outcome.cycles += 1
-            cycle_seed += 1
-            t += 1
-            if not eligible:
-                if chaos is not None:
-                    chaos.record(
-                        in_flight=in_flight,
-                        delivered=0,
-                        congested=0,
-                        retried=0,
-                        deferred=len(pending),
-                        dropped=dropped_now,
-                    )
-                if not pending:
-                    break
-                continue
-            if (
-                len(report.delivered) == 0
-                and not lossy
-                and len(eligible) == len(pending)
-            ):
-                # no progress: only possible if a single message cannot fit,
-                # which positive capacities rule out (with faults, a fully
-                # unlucky cycle is legitimate and the retry continues)
-                raise RuntimeError("delivery made no progress")
-            # map report frames back to message indices ((src, dst) multiset)
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for i in eligible:
-                buckets.setdefault((int(srcs[i]), int(dsts[i])), []).append(i)
-            done: set[int] = set()
-            cong_rows: list[int] = []
-            for f in report.delivered:
-                i = buckets[(f.src, f.dst)].pop()
-                attempts[i] += 1
-                done.add(i)
-            for f in report.congested:
-                i = buckets[(f.src, f.dst)].pop()
-                attempts[i] += 1
-                cong_rows.append(i)
-                if lossy:
-                    window = policy.window(attempts[i])
-                    next_try[i] = t + int(jrng.integers(0, window))
-                else:
-                    next_try[i] = t  # deterministic congestion: retry next cycle
-            for f in report.deferred:
-                # never entered the network: no attempt consumed, no backoff
-                i = buckets[(f.src, f.dst)].pop()
-                next_try[i] = t
-            if obs.enabled and report.congested:
-                obs.metrics.inc(
-                    "messages.retried",
-                    len(report.congested),
-                    scheduler="switchsim",
-                )
-            if chaos is not None:
-                congested_now = sum(1 for i in cong_rows if attempts[i] == 1)
-                chaos.note_outcomes(
-                    index,
-                    np.asarray(sorted(done), dtype=np.int64),
-                    np.asarray(cong_rows, dtype=np.int64),
-                    t - 1,
-                )
-                chaos.record(
-                    in_flight=in_flight,
-                    delivered=len(report.delivered),
-                    congested=congested_now,
-                    retried=len(cong_rows) - congested_now,
-                    deferred=(len(pending) - len(eligible))
-                    + len(report.deferred),
-                    dropped=dropped_now,
-                )
-            pending = [i for i in pending if i not in done]
+        (cycle_rows,), attempts = run_cycles(
+            ft,
+            index,
+            messages,
+            np.array([0, m], dtype=np.int64),
+            switch_cycle,
+            max_cycles=max_cycles,
+            obs=obs,
+            label=None,  # run_delivery_cycle emits each cycle's event
+            policy=policy,
+            jitter_rngs=(policy.jitter_rng(backoff_rng),),
+            chaos=chaos,
+        )
+    outcome = RetryOutcome(
+        cycles=len(cycle_rows),
+        # a cycle with nothing injected is an empty report
+        reports=[
+            reports.pop(t, None) or DeliveryReport([], [], [], 0, payload_bits)
+            for t in range(len(cycle_rows))
+        ],
+        attempts=attempts.tolist(),
+    )
     if obs.enabled:
-        for count in attempts:
+        for count in outcome.attempts:
             obs.metrics.observe("retry.attempts", count, scheduler="switchsim")
     if chaos is not None:
         outcome.cycle_stats = list(chaos.cycle_stats)

@@ -293,6 +293,7 @@ _SCHEDULER_MODULES = {
     "repro.hardware.buffered",
     "repro.chaos.engine",
     "repro.perf.batch",
+    "repro.perf.driver",
     "repro.serve.shards",
 }
 

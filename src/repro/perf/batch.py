@@ -1,11 +1,11 @@
 """Batched scheduling: B message sets against one tree in one 3-D pass.
 
-This module holds the one random-rank kernel and the one greedy
-first-fit driver of the package.  A solo call —
-:func:`~repro.core.online.schedule_random_rank` or
-:func:`~repro.core.greedy.schedule_greedy_first_fit` — is a batch of
-one: it runs the same loop on a one-set batch, under its own span and
-scheduler label.
+This module holds the one random-rank kernel — its batched grant sort,
+run as the arbitration step of the delivery-cycle driver
+(:mod:`repro.perf.driver`) — and the one greedy first-fit driver of the
+package.  A solo call — :func:`~repro.core.online.schedule_random_rank`
+or :func:`~repro.core.greedy.schedule_greedy_first_fit` — is a batch of
+one, under its own span and scheduler label.
 
 Scheduling *many small message sets against the same fat-tree* (what
 ``repro.serve`` does) one set at a time pays the fixed costs B times
@@ -44,14 +44,13 @@ so the interleaving introduced by the shared cycle loop cannot perturb
 any set's sequence.
 
 Chaos (a :class:`~repro.chaos.ChaosController` passed by
-:func:`~repro.core.online.schedule_random_rank`) hooks into the
-random-rank loop between cycles; it is allowed with one set only,
-because one controller owns one mutable tree.
+:func:`~repro.core.online.schedule_random_rank`) is run by the driver;
+it is allowed with one set only, because one controller owns one
+mutable tree.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,7 +62,7 @@ if TYPE_CHECKING:
     from ..obs import Obs
     from .pathindex import PathIndex
 
-from ..core.errors import DeliveryTimeout, UnroutableError
+from ..core.errors import UnroutableError
 from ..core.message import MessageSet
 from ..core.schedule import Schedule
 
@@ -78,13 +77,14 @@ def _combined_index(
     obs: "Obs | None",
     *,
     strict: bool = True,
-) -> "tuple[list[MessageSet], PathIndex, np.ndarray]":
+) -> "tuple[list[MessageSet], MessageSet, PathIndex, np.ndarray]":
     """One PathIndex over the concatenation of all routable sets.
 
     Paths depend only on (src, dst, depth), so the concatenated index's
     row block for set ``b`` equals set ``b``'s own index rows — one
     build (and one cache slot) replaces B.  Returns the per-set
-    routable sets, the combined index, and the row offset of each set.
+    routable sets, their concatenation, the combined index, and the
+    row offset of each set.
     With ``strict`` the first set (in input order) holding a message
     that crosses a dead channel raises :class:`UnroutableError`.
     """
@@ -110,7 +110,7 @@ def _combined_index(
                 bad = ~mask[offsets[b] : offsets[b + 1]]
                 if bad.any():
                     raise UnroutableError(r.take(bad).as_pairs())
-    return routables, index, offsets
+    return routables, combined, index, offsets
 
 
 def _embedded(
@@ -143,10 +143,10 @@ def _greedy_sets(
     the batch's (``batch_schedule`` / ``batch_greedy_first_fit``).
     """
     from ..core.greedy import _placement_order
-    from ..core.online import _level_capacity_totals, _record_cycle
+    from .driver import _level_capacity_totals, _record_cycle
     from .firstfit import first_fit_assign
 
-    routables, index, offsets = _combined_index(ft, message_sets, obs)
+    routables, _, index, offsets = _combined_index(ft, message_sets, obs)
     B = len(routables)
     total_m = int(offsets[-1])
 
@@ -238,70 +238,109 @@ def _random_rank_sets(
     chaos: ChaosController | None,
     solo: bool,
 ) -> list[Schedule]:
-    """The random-rank cycle loop: one :class:`Schedule` per set.
+    """The random-rank kernel: one :class:`Schedule` per set.
 
-    ``solo`` selects the one-set call's span and scheduler label
-    (``schedule_random_rank`` / ``random_rank``) instead of the
-    batch's (``batch_schedule`` / ``batch_random_rank``).  ``chaos``
-    requires exactly one set.
+    Runs the delivery-cycle driver with the batched grant sort as its
+    arbitration step.  ``solo`` selects the one-set call's span and
+    scheduler label (``schedule_random_rank`` / ``random_rank``)
+    instead of the batch's (``batch_schedule`` / ``batch_random_rank``).
+    ``chaos`` requires exactly one set.
     """
-    from ..core.online import (
-        _level_capacity_totals,
-        _record_cycle,
-        _validate_args,
-    )
+    from ..core.online import _validate_args
     from ..faults.backoff import BackoffPolicy
+    from .driver import Grant, run_cycles
 
     if chaos is not None and len(message_sets) != 1:
         raise ValueError("a chaos run schedules exactly one message set")
     lr = 0.0
     for ms in message_sets:
         lr = _validate_args(ft, ms, loss_rate, max_backoff)
-    base_lr = lr
     policy = backoff if backoff is not None else BackoffPolicy(base=1, cap=max_backoff)
-    routables, index, offsets = _combined_index(
+    routables, combined, index, offsets = _combined_index(
         ft, message_sets, obs, strict=chaos is None
     )
     B = len(routables)
-    width = index.paths.shape[1]
     total_m = int(offsets[-1])
-
-    # flat state over the concatenated messages: pending / attempts /
-    # next_try updates are whole-array passes, and the per-set view is
-    # recovered by slicing at ``offsets``.  Each set still draws from
-    # its own default_rng(seed) stream in exactly a one-set run's
-    # positions — that is the bit-parity invariant.
-    set_of_row = np.repeat(np.arange(B, dtype=np.int64), np.diff(offsets))
-    paths, caps = _embedded(index, B, set_of_row)
     # a grant key packs (offset gid, rank position) into one int64
     if (B * index.num_slots).bit_length() + total_m.bit_length() > 63:
         raise ValueError("batch too large for 64-bit grant keys")
+    # each set draws from its own default_rng(seed) stream in exactly a
+    # one-set run's positions — that is the bit-parity invariant
     rngs = [np.random.default_rng(seed) for _ in range(B)]
-    jrngs = [policy.jitter_rng(rngs[b]) for b in range(B)]
-    attempts = np.zeros(total_m, dtype=np.int64)
-    next_try = np.zeros(total_m, dtype=np.int64)
-    pending = np.ones(total_m, dtype=bool)
-    n_pending = np.diff(offsets).astype(np.int64)
-    cycle_lists: list[list[MessageSet]] = [[] for _ in range(B)]
-    failures: dict[int, DeliveryTimeout] = {}
-    in_flight = dropped_now = 0  # chaos accounting (one set)
+    set_of_row = np.repeat(np.arange(B, dtype=np.int64), np.diff(offsets))
+    width = index.paths.shape[1]
+    # one set routes on the driver's (possibly chaos-updated) index, a
+    # batch on its fixed offset embedding
+    embedded = None if B == 1 else _embedded(index, B, set_of_row)
+    # key-sized work buffers, sized for every row eligible at once and
+    # reused each cycle: fresh per-cycle temporaries are handed back to
+    # the system on free and faulted in again the next cycle
+    n_max = total_m * width
+    kbuf, sgbuf, tbuf, pbuf = (np.empty(n_max, dtype=np.int64) for _ in range(4))
+    ramp = np.arange(n_max, dtype=np.int64)
 
-    def _fail(b: int, t: int) -> None:
-        # records the DeliveryTimeout set b's one-set run raises at its
-        # cycle t, then retires the set so the joint loop moves on
-        sl = slice(int(offsets[b]), int(offsets[b + 1]))
-        pend_b = pending[sl]
-        failures[b] = DeliveryTimeout(
-            routables[b].take(np.flatnonzero(pend_b)).as_pairs(),
-            t,
-            Counter(attempts[sl][pend_b].tolist()),
-        )
-        pending[sl] = False
-        n_pending[b] = 0
+    def grant_sort(
+        t: int, rows: np.ndarray, held: np.ndarray, lr: float, index: PathIndex
+    ) -> Grant:
+        if not rows.size:
+            return Grant(rows, rows, bool(lr))
+        paths, caps = (index.paths, index.caps) if embedded is None else embedded
+        cnt = np.diff(np.searchsorted(rows, offsets))
+        live = np.flatnonzero(cnt).tolist()
+        # rows are sorted, so entries fall into contiguous ascending set
+        # blocks; fill each block from its own rank stream
+        ranks = np.empty(rows.size, dtype=np.float64)
+        pos = 0
+        for b in live:
+            c = int(cnt[b])
+            ranks[pos : pos + c] = rngs[b].random(c)
+            pos += c
+        # one sort resolves every channel grant at once.  Each path
+        # entry's key packs (offset gid, rank position), where rank
+        # position orders the eligible messages by (rank, arrival):
+        # each gid group lies wholly within one set, holds that set's
+        # contenders in tie-break order, and its first cap(c) entries
+        # win a wire.  Equal keys (a message's pad entries) are
+        # interchangeable, so the sort need not be stable.
+        by_rank = np.argsort(ranks, kind="stable")
+        rank_pos = np.empty(rows.size, dtype=np.int64)
+        rank_pos[by_rank] = np.arange(rows.size, dtype=np.int64)
+        shift = rows.size.bit_length()
+        n = rows.size * width
+        key = kbuf[:n]
+        entries = key.reshape(rows.size, width)
+        np.take(paths, rows, axis=0, out=entries, mode="clip")
+        entries <<= shift
+        entries |= rank_pos[:, np.newaxis]
+        key.sort()
+        sg = np.right_shift(key, shift, out=sgbuf[:n])
+        seg = np.empty(n, dtype=bool)
+        seg[0] = True
+        np.not_equal(sg[1:], sg[:-1], out=seg[1:])
+        # position within the gid group: index minus the group's start
+        start = np.multiply(seg, ramp[:n], out=tbuf[:n])
+        np.maximum.accumulate(start, out=start)
+        pos_in_group = np.subtract(ramp[:n], start, out=pbuf[:n])
+        won = pos_in_group < np.take(caps, sg, out=tbuf[:n], mode="clip")
+        key &= (1 << shift) - 1  # back to rank positions
+        wins = np.bincount(key[won], minlength=rows.size)
+        delivered_mask = wins[rank_pos] == width  # won every channel
+        if lr:
+            # transient corruption: a won path can still deliver
+            # garbage, which the destination NACKs.  Per-set survival
+            # draws, in stream order after the ranks.
+            base = 0
+            for b in live:
+                c = int(cnt[b])
+                block = delivered_mask[base : base + c]
+                k = int(block.sum())
+                if k:
+                    block[np.flatnonzero(block)] = rngs[b].random(k) >= lr
+                base += c
+        # ascending failed rows are each set's ascending local order,
+        # the jitter draw order of a one-set run
+        return Grant(rows[delivered_mask], rows[~delivered_mask], bool(lr))
 
-    tracing = obs.enabled
-    if tracing:
-        level_cap_totals = _level_capacity_totals(ft)
     if solo:
         span = obs.kernel("schedule_random_rank", n=ft.n, m=total_m, seed=seed)
         label = "random_rank"
@@ -310,188 +349,25 @@ def _random_rank_sets(
             "batch_schedule", n=ft.n, b=B, m=total_m, engine="random_rank", seed=seed
         )
         label = "batch_random_rank"
-
     with span:
-        # every live set appends exactly one cycle per iteration, so the
-        # iteration counter t equals each set's local cycle
-        t = 0
-        while n_pending.any():
-            if t >= max_cycles:
-                for b in np.flatnonzero(n_pending).tolist():
-                    _fail(b, t)
-                break
-            if chaos is not None:
-                in_flight = int(n_pending[0])
-                dropped_now = 0
-                index = chaos.begin_cycle(t, index)
-                paths, caps = index.paths, index.caps
-                severed = chaos.severed_rows(index, pending)
-                if severed.size:
-                    drops, park = chaos.resolve_severed(
-                        index, severed, t, routables[0], attempts
-                    )
-                    for i, heal_at in park.items():
-                        next_try[i] = heal_at
-                    if drops:
-                        pending[np.asarray(drops, dtype=np.int64)] = False
-                        n_pending[0] -= len(drops)
-                        dropped_now = len(drops)
-                if n_pending[0] == 0:
-                    cycle_lists[0].append(MessageSet.empty(ft.n))
-                    chaos.record(
-                        in_flight=in_flight,
-                        delivered=0,
-                        congested=0,
-                        retried=0,
-                        deferred=0,
-                        dropped=dropped_now,
-                    )
-                    break
-                lr = chaos.loss_rate(base_lr)
-            elig = np.flatnonzero(pending & (next_try <= t))
-            if chaos is not None and elig.size:
-                blocked = chaos.breaker_blocked(index, elig, t)
-                if blocked.any():
-                    elig = elig[~blocked]
-            set_of_elig = set_of_row[elig]
-            cnt = np.bincount(set_of_elig, minlength=B)
-            stalled = np.flatnonzero((cnt == 0) & (n_pending > 0))
-            for b in stalled.tolist():
-                # every pending message of set b is backing off (or held
-                # back by a breaker): an empty delivery cycle
-                sl = slice(int(offsets[b]), int(offsets[b + 1]))
-                if int(next_try[sl][pending[sl]].min()) >= max_cycles:
-                    _fail(b, t)  # livelock: no eligibility within budget
-                    continue
-                cycle_lists[b].append(MessageSet.empty(ft.n))
-                if chaos is not None:
-                    chaos.record(
-                        in_flight=in_flight,
-                        delivered=0,
-                        congested=0,
-                        retried=0,
-                        deferred=int(n_pending[b]),
-                        dropped=dropped_now,
-                    )
-                if tracing:
-                    _record_cycle(
-                        obs,
-                        label,
-                        t,
-                        delivered=0,
-                        congested=0,
-                        deferred=int(n_pending[b]),
-                    )
-            if elig.size == 0:
-                t += 1
-                continue
-            attempts[elig] += 1
-            # elig is sorted, so entries fall into contiguous ascending
-            # set blocks; fill each block from its own rank stream
-            ranks = np.empty(elig.size, dtype=np.float64)
-            pos = 0
-            for b in np.flatnonzero(cnt).tolist():
-                c = int(cnt[b])
-                ranks[pos : pos + c] = rngs[b].random(c)
-                pos += c
-            # one sort resolves every channel grant at once.  Each path
-            # entry's key packs (offset gid, rank position), where rank
-            # position orders the eligible messages by (rank, arrival):
-            # each gid group lies wholly within one set, holds that set's
-            # contenders in tie-break order, and its first cap(c)
-            # entries win a wire.  Equal keys (a message's pad entries)
-            # are interchangeable, so the sort need not be stable.
-            by_rank = np.argsort(ranks, kind="stable")
-            rank_pos = np.empty(elig.size, dtype=np.int64)
-            rank_pos[by_rank] = np.arange(elig.size, dtype=np.int64)
-            shift = elig.size.bit_length()
-            key = paths[elig] << shift
-            key |= rank_pos[:, np.newaxis]
-            key = key.reshape(-1)
-            key.sort()
-            sg = key >> shift
-            seg = np.empty(sg.size, dtype=bool)
-            seg[0] = True
-            np.not_equal(sg[1:], sg[:-1], out=seg[1:])
-            pos_in_group = np.arange(sg.size, dtype=np.int64)
-            pos_in_group -= np.maximum.accumulate(np.where(seg, pos_in_group, 0))
-            won = pos_in_group < caps[sg]
-            key &= (1 << shift) - 1  # back to rank positions
-            wins = np.bincount(key[won], minlength=elig.size)
-            delivered_mask = wins[rank_pos] == width  # won every channel
-            if lr:
-                # transient corruption: a won path can still deliver
-                # garbage, which the destination NACKs.  Per-set survival
-                # draws, in stream order after the ranks.
-                base = 0
-                for b in np.flatnonzero(cnt).tolist():
-                    c = int(cnt[b])
-                    block = delivered_mask[base : base + c]
-                    k = int(block.sum())
-                    if k:
-                        block[np.flatnonzero(block)] = rngs[b].random(k) >= lr
-                    base += c
-            dcnt = np.bincount(set_of_elig[delivered_mask], minlength=B)
-            if not lr:
-                # with positive capacities the lowest-ranked eligible
-                # message wins all its channels; a no-progress cycle means
-                # the set's tree cannot make progress at all
-                for b in np.flatnonzero((cnt > 0) & (dcnt == 0)).tolist():
-                    _fail(b, t)
-            delivered_flat = elig[delivered_mask]
-            bounds = np.cumsum(dcnt)
-            for b in np.flatnonzero(cnt).tolist():
-                if b in failures:
-                    continue
-                hi = int(bounds[b])
-                part = delivered_flat[hi - int(dcnt[b]) : hi]
-                cycle_lists[b].append(routables[b].take(part - int(offsets[b])))
-                if tracing:
-                    _record_cycle(
-                        obs,
-                        label,
-                        t,
-                        delivered=int(dcnt[b]),
-                        congested=int(cnt[b] - dcnt[b]),
-                        deferred=int(n_pending[b] - cnt[b]),
-                        index=index,
-                        delivered_idx=part,
-                        level_cap_totals=level_cap_totals,
-                    )
-            failed_flat = elig[~delivered_mask]
-            if lr:
-                # ascending rows = per-set ascending local order, the
-                # exact jitter draw order of each one-set run
-                for row in failed_flat.tolist():
-                    b = int(set_of_row[row])
-                    if b in failures:
-                        continue
-                    window = policy.window(int(attempts[row]))
-                    next_try[row] = t + 1 + int(jrngs[b].integers(0, window))
-            else:
-                next_try[failed_flat] = t + 1  # pure contention: retry now
-            if chaos is not None and not failures:
-                congested_now = int((attempts[failed_flat] == 1).sum())
-                chaos.note_outcomes(index, delivered_flat, failed_flat, t)
-                chaos.record(
-                    in_flight=in_flight,
-                    delivered=int(delivered_flat.size),
-                    congested=congested_now,
-                    retried=int(failed_flat.size) - congested_now,
-                    deferred=in_flight - dropped_now - int(elig.size),
-                    dropped=dropped_now,
-                )
-            pending[delivered_flat] = False
-            n_pending -= dcnt
-            t += 1
-
-    if failures:
-        # the serial loop would surface the lowest-index failing set
-        raise failures[min(failures)]
+        cycle_rows, _ = run_cycles(
+            ft,
+            index,
+            combined,
+            offsets,
+            grant_sort,
+            max_cycles=max_cycles,
+            obs=obs,
+            label=label,
+            loss_rate=lr,
+            policy=policy,
+            jitter_rngs=tuple(policy.jitter_rng(rng) for rng in rngs),
+            chaos=chaos,
+        )
     # returned per set; validated externally by the conformance oracle
     return [
         Schedule(  # reprolint: ignore[schedule-hygiene]
-            cycles=cycle_lists[b],
+            cycles=[combined.take(rows) for rows in cycle_rows[b]],
             n_self_messages=len(message_sets[b]) - len(routables[b]),
             cycle_stats=[] if chaos is None else list(chaos.cycle_stats),
             dropped=None if chaos is None else chaos.dropped_messages(routables[b]),

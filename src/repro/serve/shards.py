@@ -194,6 +194,7 @@ class ShardPool:
         self._specs = list(shared_specs or [])
         self._metrics = metrics
         self._pool: ProcessPoolExecutor | None = None
+        self._closed = False
         if self.shards:
             self._pool = self._start()
 
@@ -205,7 +206,11 @@ class ShardPool:
         )
 
     def submit(self, payload: dict) -> "Future[dict]":
-        """Dispatch one batch payload; returns a future of the result."""
+        """Dispatch one batch payload; returns a future of the result.
+        A closed pool raises ``RuntimeError``, as a shut-down executor
+        does, rather than running the payload inline."""
+        if self._closed:
+            raise RuntimeError("cannot submit to a closed ShardPool")
         if self._pool is not None:
             try:
                 return self._pool.submit(_pool_call, payload)
@@ -224,6 +229,7 @@ class ShardPool:
 
     def close(self) -> None:
         """Shut the workers down (idempotent; safe mid-dispatch)."""
+        self._closed = True
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)

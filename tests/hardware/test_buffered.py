@@ -1,14 +1,15 @@
 """Tests for the buffered store-and-forward fat-tree."""
 
 import math
+from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     ConstantCapacity,
+    DeliveryTimeout,
     FatTree,
     MessageSet,
     UniversalCapacity,
@@ -48,6 +49,20 @@ class TestBasics:
         m = MessageSet([0] * 50, [7] * 50, 8)
         with pytest.raises(RuntimeError):
             run_store_and_forward(ft, m, max_steps=5)
+
+    def test_step_guard_is_a_structured_refusal(self):
+        """Past ``max_steps`` the refusal carries the pending pairs, the
+        step count and how many hops each pending message completed."""
+        ft = FatTree(8, ConstantCapacity(3, 1))
+        m = MessageSet([0] * 50, [7] * 50, 8)
+        with pytest.raises(DeliveryTimeout) as info:
+            run_store_and_forward(ft, m, max_steps=5)
+        exc = info.value
+        assert exc.cycles == 5
+        # one message per step enters the 6-hop path through unit
+        # channels: the five that moved are 5, 4, 3, 2 and 1 hops in
+        assert exc.undelivered == [(0, 7)] * 50
+        assert exc.attempts == Counter({0: 45, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1})
 
 
 class TestContention:

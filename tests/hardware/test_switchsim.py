@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ConstantCapacity,
+    DeliveryTimeout,
     FatTree,
     MessageSet,
     UniversalCapacity,
@@ -154,6 +155,25 @@ class TestRetryLoop:
         m = MessageSet([0] * 50, [7] * 50, 8)
         with pytest.raises(RuntimeError):
             run_until_delivered(ft, m, max_cycles=3)
+
+    def test_no_progress_is_a_structured_refusal(self, monkeypatch):
+        """A loss-free cycle that delivers nothing can never be followed
+        by one that does: the loop refuses at once with the pending
+        pairs and their attempt histogram."""
+        import repro.hardware.switchsim as switchsim
+
+        def all_congested(ft, messages, **kwargs):
+            frames = [BitSerialMessage.make(int(s), int(d), ft.depth) for s, d in messages]
+            return switchsim.DeliveryReport([], frames, [], 1)
+
+        monkeypatch.setattr(switchsim, "run_delivery_cycle", all_congested)
+        m = MessageSet([0, 1, 2], [7, 6, 5], 8)
+        with pytest.raises(DeliveryTimeout) as info:
+            run_until_delivered(FatTree(8), m)
+        exc = info.value
+        assert exc.cycles == 0
+        assert exc.undelivered == [(0, 7), (1, 6), (2, 5)]
+        assert exc.attempts == {1: 3}
 
 
 class TestScheduleExecution:

@@ -149,3 +149,14 @@ class TestShardPool:
     def test_negative_shards_rejected(self):
         with pytest.raises(ValueError):
             ShardPool(-1)
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_submit_after_close_is_refused(self, shards):
+        """A closed pool refuses new work like a shut-down executor; it
+        must never fall back to running the payload inline."""
+        ft = FatTree(16)
+        pool = ShardPool(shards)
+        pool.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.submit(TestPoolCall().payload(ft, sets_for(16, 1, 8)))
+        pool.close()  # still idempotent

@@ -241,6 +241,26 @@ class TestTrace:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_buffered_step_budget_is_a_one_line_error(self, capsys, monkeypatch):
+        """A store-and-forward run past its step budget is a structured
+        DeliveryTimeout: exit 3 with one ``error:`` line, no traceback."""
+        import functools
+
+        import repro.hardware
+
+        monkeypatch.setattr(
+            repro.hardware,
+            "run_store_and_forward",
+            functools.partial(repro.hardware.run_store_and_forward, max_steps=2),
+        )
+        code = main(["trace", "--quick", "--scheduler", "buffered"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:")
+        assert "after 2 delivery cycles" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_invalid_scenario_exits_2(self, capsys):
         assert main(["trace", "--quick", "--kill-wires", "2.0"]) == 2
         assert "invalid fault scenario" in capsys.readouterr().err
